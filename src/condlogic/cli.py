@@ -19,8 +19,8 @@ from itertools import islice
 from pathlib import Path
 
 from .contexts import build_dom_tree, load_html_elements, parse_html_context
-from .dataset_io import SplitManifest, write_split
-from .errors import ToolkitError
+from .dataset_io import SplitManifest, _sorted_ids, write_split
+from .errors import InvariantError, ToolkitError
 from .generate import (
     GenConfig,
     config_hash,
@@ -44,10 +44,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def _sorted_ids(ids) -> list[str]:
-    return sorted(ids, key=lambda i: (len(i), i))
 
 
 def _format_verdict(label: str, unsatisfied) -> str:
@@ -128,8 +124,10 @@ def cmd_solve(args) -> int:
         print(_assignments_table(args.assignments))
         return 0
     if args.file:
-        text = Path(args.file).read_text(encoding="utf-8")
+        source = args.file
+        text = Path(source).read_text(encoding="utf-8")
     elif args.stdin:
+        source = "<stdin>"
         text = sys.stdin.read()
     else:
         raise ToolkitError("nothing to solve: pass --file, --stdin, or --assignments")
@@ -141,10 +139,15 @@ def cmd_solve(args) -> int:
     results = []
     if stripped.startswith("{"):
         # A templates.jsonl file: one {template_id, dsl} record per line.
-        for line in text.splitlines():
+        for line_no, line in enumerate(text.splitlines(), start=1):
             if not line.strip():
                 continue
-            record = json.loads(line)
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise InvariantError(f"{source}:{line_no}: invalid JSON ({exc})") from None
+            if not isinstance(record, dict) or not isinstance(record.get("dsl"), str):
+                raise InvariantError(f"{source}:{line_no}: expected an object with a string 'dsl' field")
             template = parse_template_dsl(record["dsl"])
             ids = condition_ids(template)
             verdict = solve_template(template)
@@ -247,6 +250,25 @@ def _build_parser() -> _Parser:
     return parser
 
 
+#: Argument names that hold input files, across all subcommands.
+_INPUT_ARGS = ("bank", "file", "infile", "gold", "pred")
+
+
+def _undecodable_input(args) -> str:
+    """Name the input that is not valid UTF-8 (the decoder does not say)."""
+    for name in _INPUT_ARGS:
+        path = getattr(args, name, None)
+        if not path:
+            continue
+        try:
+            Path(path).read_bytes().decode("utf-8")
+        except UnicodeDecodeError:
+            return path
+        except OSError:
+            continue
+    return "<stdin>"
+
+
 def main(argv=None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.WARNING, format="%(message)s")
     args = _build_parser().parse_args(argv)
@@ -257,6 +279,9 @@ def main(argv=None) -> int:
         return 1
     except json.JSONDecodeError as exc:
         print(f"error: invalid JSON input ({exc})", file=sys.stderr)
+        return 1
+    except UnicodeDecodeError as exc:
+        print(f"error: {_undecodable_input(args)}: not UTF-8 text ({exc})", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

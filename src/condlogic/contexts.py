@@ -52,8 +52,8 @@ class DomNode:
 def load_html_elements(path) -> list[HtmlElement]:
     """Read a JSONL stream of ``{tag, text}`` records.
 
-    Unknown tags are mapped to ``other``; records whose text is blank
-    are skipped with a warning.
+    Unknown tags are mapped to ``other``; records that are not objects
+    or whose text is blank are skipped with a warning.
     """
     elements: list[HtmlElement] = []
     with open(path, encoding="utf-8") as handle:
@@ -64,6 +64,9 @@ def load_html_elements(path) -> list[HtmlElement]:
                 raw = json.loads(line)
             except json.JSONDecodeError:
                 logger.warning("%s:%d: invalid JSON, skipping", path, line_no)
+                continue
+            if not isinstance(raw, dict):
+                logger.warning("%s:%d: not a JSON object, skipping", path, line_no)
                 continue
             text = str(raw.get("text", "")).strip()
             if not text:

@@ -83,8 +83,9 @@ def example_to_dict(example: Example) -> dict:
 def example_from_dict(raw: dict) -> Example:
     """Deserialize one example record, validating its shape.
 
-    Raises ``ValueError`` on missing fields, malformed condition ids,
-    unknown group types, or unsatisfied ids that name no condition.
+    Raises ``ValueError`` on missing fields, fields of the wrong type,
+    malformed condition ids, unknown group types, or unsatisfied ids
+    that name no condition.
     """
     if not isinstance(raw, dict):
         raise ValueError("record is not an object")
@@ -96,18 +97,30 @@ def example_from_dict(raw: dict) -> Example:
     if missing:
         raise ValueError(f"missing fields: {', '.join(missing)}")
 
+    for key in ("context", "facts", "unsatisfied"):
+        if not isinstance(raw[key], list):
+            raise ValueError(f"{key} is not a list")
+    seed = raw["seed"]
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise ValueError(f"seed is not an integer: {seed!r}")
+
     groups = []
     condition_ids: set[str] = set()
-    if not isinstance(raw["context"], list):
-        raise ValueError("context is not a list")
     for entry in raw["context"]:
+        if not isinstance(entry, dict):
+            raise ValueError("context entry is not an object")
         type_token = entry.get("type")
         if type_token not in _EXAMPLE_GROUP_TYPES:
             raise ValueError(f"unknown group type {type_token!r}")
         conditions = []
-        for cond in entry.get("conditions", []):
+        raw_conditions = entry.get("conditions", [])
+        if not isinstance(raw_conditions, list):
+            raise ValueError("conditions is not a list")
+        for cond in raw_conditions:
+            if not isinstance(cond, dict):
+                raise ValueError("condition is not an object")
             cid = cond.get("id", "")
-            if not _CONDITION_ID_RE.match(cid):
+            if not isinstance(cid, str) or not _CONDITION_ID_RE.match(cid):
                 raise ValueError(f"malformed condition id {cid!r}")
             condition_ids.add(cid)
             conditions.append(Condition(id=cid, text=str(cond.get("text", ""))))
@@ -131,7 +144,7 @@ def example_from_dict(raw: dict) -> Example:
         question=str(raw["question"]),
         gold=Verdict(str(raw["answer_label"]), frozenset(unsatisfied)),
         template_id=str(raw["template_id"]),
-        seed=int(raw["seed"]),
+        seed=seed,
     )
 
 

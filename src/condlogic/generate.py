@@ -21,7 +21,7 @@ import itertools
 import json
 import logging
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Iterator
 
@@ -35,7 +35,6 @@ from .templates import (
     condition_ids,
     render_template_dsl,
     solve_template,
-    validate_template,
 )
 
 logger = logging.getLogger(__name__)
@@ -82,18 +81,27 @@ class NliRecord:
 
 @dataclass(frozen=True)
 class NliBank:
-    """NLI records bucketed by label, with sampling helpers."""
+    """NLI records bucketed by label, with sampling helpers.
+
+    ``records`` holds every bucket's records concatenated in
+    ``NLI_LABELS`` order; it is derived from ``by_label`` on construction.
+    """
 
     path: str
     by_label: dict[str, tuple[NliRecord, ...]]
     skipped: int = 0
+    records: tuple[NliRecord, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        flat = tuple(r for label in NLI_LABELS for r in self.by_label.get(label, ()))
+        object.__setattr__(self, "records", flat)
 
     @property
     def counts(self) -> dict[str, int]:
         return {label: len(self.by_label.get(label, ())) for label in NLI_LABELS}
 
     def __len__(self) -> int:
-        return sum(len(v) for v in self.by_label.values())
+        return len(self.records)
 
     def sample(self, label: str, rng: random.Random) -> NliRecord:
         bucket = self.by_label.get(label, ())
@@ -102,16 +110,10 @@ class NliBank:
         return bucket[rng.randrange(len(bucket))]
 
     def sample_any(self, rng: random.Random) -> NliRecord:
-        total = len(self)
-        if not total:
+        """A uniformly drawn record of any label (one ``randrange`` call)."""
+        if not self.records:
             raise BankError(f"bank {self.path!r} is empty")
-        index = rng.randrange(total)
-        for label in NLI_LABELS:
-            bucket = self.by_label.get(label, ())
-            if index < len(bucket):
-                return bucket[index]
-            index -= len(bucket)
-        raise AssertionError("unreachable")
+        return self.records[rng.randrange(len(self.records))]
 
 
 # MultiNLI-style field names are accepted as aliases.
@@ -125,8 +127,8 @@ _FIELD_ALIASES = {
 def load_nli_bank(path) -> NliBank:
     """Load a JSONL bank of ``{premise, hypothesis, label}`` records.
 
-    Malformed lines (bad JSON, missing fields, labels outside
-    entailment/contradiction/neutral) are skipped and counted. A bank
+    Malformed lines (bad JSON, non-objects, missing fields, labels
+    outside entailment/contradiction/neutral) are skipped and counted. A bank
     with no valid records raises :class:`BankError`.
     """
     buckets: dict[str, list[NliRecord]] = {label: [] for label in NLI_LABELS}
@@ -139,6 +141,10 @@ def load_nli_bank(path) -> NliBank:
                 raw = json.loads(line)
             except json.JSONDecodeError:
                 logger.warning("%s:%d: invalid JSON, skipping", path, line_no)
+                skipped += 1
+                continue
+            if not isinstance(raw, dict):
+                logger.warning("%s:%d: not a JSON object, skipping", path, line_no)
                 skipped += 1
                 continue
             fields = {}
@@ -296,49 +302,100 @@ class Example:
         object.__setattr__(self, "facts", tuple(self.facts))
 
 
-def instantiate(template: Template, bank: NliBank, example_index: int, *, seed: int) -> Example:
+@dataclass(frozen=True)
+class GroupPlan:
+    """One template group, ready to fill: ids, type and sampling buckets."""
+
+    result_id: str
+    logical_type: LogicalType
+    #: NLI bucket of the asked premise/question pair; ``None`` unless the
+    #: question asks about this group.
+    question_bucket: str | None
+    #: ``(condition id, negated, fact bucket or None)`` per condition slot.
+    slots: tuple[tuple[str, bool, str | None], ...]
+
+
+@dataclass(frozen=True)
+class TemplatePlan:
+    """A validated, solved template: everything an example shares with the
+    other examples of its template. Build one with :func:`compile_template`."""
+
+    template_id: str
+    condition_ids: dict[str, str]
+    gold: Verdict
+    groups: tuple[GroupPlan, ...]
+    #: Condition ids of the facts, in the template's fact order.
+    fact_ids: tuple[str, ...]
+
+
+def compile_template(template: Template) -> TemplatePlan:
+    """Validate and solve a template once, mapping its verdict to ``Ck`` ids."""
+    symbolic = solve_template(template)
+    ids = condition_ids(template)
+    fact_bucket = {
+        f.var: "contradiction" if f.negated else "entailment" for f in template.facts
+    }
+    groups = tuple(
+        GroupPlan(
+            result_id=f"R{gi}",
+            logical_type=LogicalType.REQUIRED if len(g.conditions) == 1 else g.logical_type,
+            question_bucket=(
+                _NLI_FOR_RELATION[template.target_relation]
+                if g.consequent.lower() == template.question_var
+                else None
+            ),
+            slots=tuple((ids[ref.var], ref.negated, fact_bucket.get(ref.var)) for ref in g.conditions),
+        )
+        for gi, g in enumerate(template.groups)
+    )
+    return TemplatePlan(
+        template_id=template.template_id,
+        condition_ids=ids,
+        gold=Verdict(symbolic.label, frozenset(ids[v] for v in symbolic.unsatisfied)),
+        groups=groups,
+        fact_ids=tuple(ids[f.var] for f in template.facts),
+    )
+
+
+def instantiate(
+    template: Template | TemplatePlan, bank: NliBank, example_index: int, *, seed: int
+) -> Example:
     """Fill a template's slots with bank records.
 
     Deterministic in ``(seed, template.template_id, example_index)``.
     Condition texts carry their document-order id as a ``Ck:`` prefix;
     negated condition slots prefix the premise with ``not``. Negated
     facts are realized by sampling a contradiction-labeled record, so the
-    hypothesis text itself is used verbatim.
+    hypothesis text itself is used verbatim. A bare :class:`Template` is
+    compiled on the spot; pass a :class:`TemplatePlan` to reuse one.
     """
-    validate_template(template)
-    example_seed = _derive_seed(seed, template.template_id, example_index)
+    plan = template if isinstance(template, TemplatePlan) else compile_template(template)
+    example_seed = _derive_seed(seed, plan.template_id, example_index)
     rng = random.Random(example_seed)
 
-    fact_bucket = {
-        f.var: "contradiction" if f.negated else "entailment" for f in template.facts
-    }
-    ids = condition_ids(template)
     fact_text: dict[str, str] = {}
     question: str | None = None
-
     groups: list[ConditionGroup] = []
-    for gi, g in enumerate(template.groups):
-        is_relevant = g.consequent.lower() == template.question_var
-        if is_relevant:
-            record = bank.sample(_NLI_FOR_RELATION[template.target_relation], rng)
+    for g in plan.groups:
+        if g.question_bucket is not None:
+            record = bank.sample(g.question_bucket, rng)
             question = record.hypothesis
         else:
             record = bank.sample_any(rng)
         conditions = []
-        for ref in g.conditions:
-            if ref.var in fact_bucket:
-                cond_record = bank.sample(fact_bucket[ref.var], rng)
-                fact_text[ref.var] = cond_record.hypothesis
+        for cid, negated, bucket in g.slots:
+            if bucket is not None:
+                cond_record = bank.sample(bucket, rng)
+                fact_text[cid] = cond_record.hypothesis
             else:
                 cond_record = bank.sample_any(rng)
-            text = f"not {cond_record.premise}" if ref.negated else cond_record.premise
-            conditions.append(Condition(id=ids[ref.var], text=f"{ids[ref.var]}: {text}"))
-        logical_type = LogicalType.REQUIRED if len(conditions) == 1 else g.logical_type
+            text = f"not {cond_record.premise}" if negated else cond_record.premise
+            conditions.append(Condition(id=cid, text=f"{cid}: {text}"))
         groups.append(
             ConditionGroup(
-                result_id=f"R{gi}",
+                result_id=g.result_id,
                 result_text=record.premise,
-                logical_type=logical_type,
+                logical_type=g.logical_type,
                 conditions=tuple(conditions),
             )
         )
@@ -346,14 +403,12 @@ def instantiate(template: Template, bank: NliBank, example_index: int, *, seed: 
         # Irrelevant target: the question hypothesis has no premise in context.
         question = bank.sample_any(rng).hypothesis
 
-    symbolic = solve_template(template)
-    gold = Verdict(symbolic.label, frozenset(ids[v] for v in symbolic.unsatisfied))
     return Example(
         context=tuple(groups),
-        facts=tuple(fact_text[f.var] for f in template.facts),
+        facts=tuple(fact_text[cid] for cid in plan.fact_ids),
         question=question,
-        gold=gold,
-        template_id=template.template_id,
+        gold=plan.gold,
+        template_id=plan.template_id,
         seed=example_seed,
     )
 
@@ -366,15 +421,17 @@ def generate_dataset(config: GenConfig, bank: NliBank, split: str) -> Iterator[E
 
     ``dev`` and ``test`` emit exactly ``n_dev`` / ``n_test`` examples;
     ``train-stream`` is unbounded. Split tags enter the seed derivation,
-    so splits draw from disjoint random streams.
+    so splits draw from disjoint random streams. Each template is
+    validated and solved once per call; every example then only draws
+    bank records.
     """
     if split not in SPLITS:
         raise InvariantError(f"unknown split {split!r}, expected one of {SPLITS}")
-    templates = generate_templates(config)
+    plans = [compile_template(t) for t in generate_templates(config)]
     length = {"dev": config.n_dev, "test": config.n_test}.get(split)
     indices = range(length) if length is not None else itertools.count()
     split_seed = _derive_seed(config.seed, split)
     for index in indices:
         pick = random.Random(_derive_seed(config.seed, split, index, "pick"))
-        template = templates[pick.randrange(len(templates))]
-        yield instantiate(template, bank, index, seed=split_seed)
+        plan = plans[pick.randrange(len(plans))]
+        yield instantiate(plan, bank, index, seed=split_seed)

@@ -208,9 +208,12 @@ def _read_jsonl(path):
             if not line.strip():
                 continue
             try:
-                yield line_no, json.loads(line)
+                raw = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise InvariantError(f"{path}:{line_no}: invalid JSON ({exc})") from exc
+            if not isinstance(raw, dict):
+                raise InvariantError(f"{path}:{line_no}: expected an object, got {type(raw).__name__}")
+            yield line_no, raw
 
 
 def _str_list(value) -> list[str]:
@@ -219,6 +222,12 @@ def _str_list(value) -> list[str]:
     if not isinstance(value, list):
         raise InvariantError(f"expected a list, got {type(value).__name__}")
     return [str(v) for v in value]
+
+
+def _opt_str(value, name: str) -> str | None:
+    if value is not None and not isinstance(value, str):
+        raise InvariantError(f"{name} must be a string, got {type(value).__name__}")
+    return value
 
 
 def read_gold_file(path) -> list[GoldRecord]:
@@ -230,19 +239,22 @@ def read_gold_file(path) -> list[GoldRecord]:
     records = []
     seen = set()
     for line_no, raw in _read_jsonl(path):
-        example_id = str(raw.get("id", len(records)))
-        if example_id in seen:
-            raise InvariantError(f"{path}:{line_no}: duplicate example id {example_id!r}")
-        seen.add(example_id)
-        records.append(
-            GoldRecord(
-                example_id=example_id,
-                answers=tuple(_str_list(raw.get("answers"))),
-                unsatisfied=frozenset(_str_list(raw.get("unsatisfied", raw.get("conditions")))),
-                label=raw.get("label", raw.get("answer_label")),
-                question=raw.get("question"),
+        try:
+            example_id = str(raw.get("id", len(records)))
+            if example_id in seen:
+                raise InvariantError(f"duplicate example id {example_id!r}")
+            records.append(
+                GoldRecord(
+                    example_id=example_id,
+                    answers=tuple(_str_list(raw.get("answers"))),
+                    unsatisfied=frozenset(_str_list(raw.get("unsatisfied", raw.get("conditions")))),
+                    label=_opt_str(raw.get("label", raw.get("answer_label")), "label"),
+                    question=_opt_str(raw.get("question"), "question"),
+                )
             )
-        )
+        except InvariantError as exc:
+            raise InvariantError(f"{path}:{line_no}: {exc}") from None
+        seen.add(example_id)
     return records
 
 
@@ -255,20 +267,23 @@ def read_prediction_file(path) -> dict[str, Prediction]:
     """
     predictions: dict[str, Prediction] = {}
     for line_no, raw in _read_jsonl(path):
-        example_id = str(raw.get("id", len(predictions)))
-        if example_id in predictions:
-            raise InvariantError(f"{path}:{line_no}: duplicate example id {example_id!r}")
-        answer = raw.get("answer", raw.get("answer_label"))
-        if answer is None:
-            answers = _str_list(raw.get("answers"))
-            answer = answers[0] if answers else ""
-        predictions[example_id] = Prediction(
-            example_id=example_id,
-            answer_text=str(answer),
-            unsatisfied=frozenset(_str_list(raw.get("conditions", raw.get("unsatisfied")))),
-            label=raw.get("label", raw.get("answer_label")),
-            question=raw.get("question"),
-        )
+        try:
+            example_id = str(raw.get("id", len(predictions)))
+            if example_id in predictions:
+                raise InvariantError(f"duplicate example id {example_id!r}")
+            answer = raw.get("answer", raw.get("answer_label"))
+            if answer is None:
+                answers = _str_list(raw.get("answers"))
+                answer = answers[0] if answers else ""
+            predictions[example_id] = Prediction(
+                example_id=example_id,
+                answer_text=str(answer),
+                unsatisfied=frozenset(_str_list(raw.get("conditions", raw.get("unsatisfied")))),
+                label=_opt_str(raw.get("label", raw.get("answer_label")), "label"),
+                question=_opt_str(raw.get("question"), "question"),
+            )
+        except InvariantError as exc:
+            raise InvariantError(f"{path}:{line_no}: {exc}") from None
     return predictions
 
 

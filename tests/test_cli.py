@@ -233,3 +233,68 @@ def test_evaluate_missing_file_exits_two(capsys, tmp_path):
 def test_no_command_exits_one(capsys):
     code, _, err = run(capsys)
     assert code == 1
+
+
+# --- malformed input ----------------------------------------------------------------
+
+@pytest.mark.parametrize("which", ["pred", "gold"])
+def test_evaluate_non_object_line_exits_one(tmp_path, capsys, which):
+    good = tmp_path / "good.jsonl"
+    good.write_text(json.dumps({"id": "0", "answer_label": "entailed"}) + "\n", encoding="utf-8")
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(json.dumps({"id": "0", "answer_label": "entailed"}) + "\n[1,2]\n", encoding="utf-8")
+    files = {"pred": good, "gold": good, which: bad}
+    code, _, err = run(
+        capsys, "evaluate", "--pred", str(files["pred"]), "--gold", str(files["gold"]), "--profile", "condnli"
+    )
+    assert code == 1
+    assert f"{bad}:2: expected an object, got list" in err
+
+
+@pytest.mark.parametrize(
+    "record,fragment",
+    [
+        ({"id": "0", "answer_label": 1}, "label must be a string"),
+        ({"id": "0", "answer_label": "entailed", "question": 5}, "question must be a string"),
+        ({"id": "0", "answers": "yes"}, "expected a list"),
+    ],
+)
+def test_evaluate_bad_field_type_exits_one(tmp_path, capsys, record, fragment):
+    good = tmp_path / "good.jsonl"
+    good.write_text(json.dumps({"id": "0", "answer_label": "entailed"}) + "\n", encoding="utf-8")
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    for pred, gold in ((bad, good), (good, bad)):
+        code, _, err = run(capsys, "evaluate", "--pred", str(pred), "--gold", str(gold), "--profile", "sharc")
+        assert code == 1
+        assert f"{bad}:1: {fragment}" in err
+
+
+def test_evaluate_non_utf8_exits_one(tmp_path, capsys):
+    good = tmp_path / "good.jsonl"
+    good.write_text(json.dumps({"id": "0", "answer_label": "entailed"}) + "\n", encoding="utf-8")
+    bad = tmp_path / "latin1.jsonl"
+    bad.write_bytes(b'{"id": "0", "answer_label": "caf\xe9"}\n')
+    code, _, err = run(capsys, "evaluate", "--pred", str(bad), "--gold", str(good), "--profile", "condnli")
+    assert code == 1
+    assert f"error: {bad}: not UTF-8 text" in err
+
+
+def test_parse_context_skips_non_object_line(tmp_path, capsys, caplog):
+    infile = tmp_path / "doc.jsonl"
+    infile.write_text('[1,2]\n{"tag": "p", "text": "You must apply."}\n', encoding="utf-8")
+    with caplog.at_level("WARNING"):
+        code, out, _ = run(capsys, "parse-context", "--in", str(infile), "--out", str(tmp_path / "o"))
+    assert code == 0
+    assert "1 group(s)" in out
+    assert f"{infile}:1: not a JSON object, skipping" in caplog.text
+
+
+@pytest.mark.parametrize("line", ['{"dsl": 1}', "[1, 2]", '{"template_id": "T000"}'])
+def test_solve_templates_jsonl_bad_record_exits_one(tmp_path, capsys, line):
+    path = tmp_path / "templates.jsonl"
+    good = json.dumps({"template_id": "T000", "dsl": REFERENCE_TEMPLATE})
+    path.write_text(f"{good}\n{line}\n", encoding="utf-8")
+    code, _, err = run(capsys, "solve", "--file", str(path))
+    assert code == 1
+    assert f"{path}:2: expected an object with a string 'dsl' field" in err

@@ -126,3 +126,32 @@ def test_example_from_dict_validation(examples, mutate, fragment):
 def test_example_from_dict_rejects_non_object():
     with pytest.raises(ValueError):
         example_from_dict(["not", "a", "dict"])
+
+
+@pytest.mark.parametrize(
+    "mutate,fragment",
+    [
+        (lambda r: r.update(unsatisfied="C1"), "unsatisfied is not a list"),
+        (lambda r: r.update(facts="abc"), "facts is not a list"),
+        (lambda r: r.update(context=[1]), "context entry is not an object"),
+        (lambda r: r["context"][0].update(conditions=5), "conditions is not a list"),
+        (lambda r: r["context"][0].update(conditions=["C0"]), "condition is not an object"),
+        (lambda r: r["context"][0]["conditions"][0].update(id=0), "malformed condition id"),
+        (lambda r: r.update(seed=None), "seed is not an integer"),
+        (lambda r: r.update(seed="12"), "seed is not an integer"),
+    ],
+    ids=["unsatisfied-str", "facts-str", "context-int", "conditions-int", "condition-str",
+         "condition-id-int", "seed-null", "seed-str"],
+)
+def test_malformed_field_skipped_by_read_split(tmp_path, examples, caplog, mutate, fragment):
+    exs, _ = examples
+    raw = example_to_dict(exs[0])
+    mutate(raw)
+    with pytest.raises(ValueError, match=fragment):
+        example_from_dict(raw)
+
+    path = tmp_path / "dev.jsonl"
+    path.write_text(json.dumps(raw) + "\n" + json.dumps(example_to_dict(exs[1])) + "\n", encoding="utf-8")
+    with caplog.at_level("WARNING"):
+        assert list(read_split(path)) == [exs[1]]
+    assert f"{path}:1: invalid record ({fragment}" in caplog.text

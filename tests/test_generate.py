@@ -1,7 +1,13 @@
+import hashlib
 import itertools
 import json
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import condlogic.generate as generate_module
 
 from condlogic import (
     BankError,
@@ -12,6 +18,7 @@ from condlogic import (
     NliBank,
     NliRecord,
     Verdict,
+    condition_ids,
     config_hash,
     generate_dataset,
     generate_template,
@@ -20,8 +27,10 @@ from condlogic import (
     load_nli_bank,
     parse_template_dsl,
     render_template_dsl,
+    solve_template,
     validate_template,
 )
+from condlogic.generate import _derive_seed
 from conftest import REFERENCE_TEMPLATE, write_bank
 
 
@@ -270,3 +279,111 @@ def test_dataset_gold_matches_resolve(bank):
             symbolic.label, frozenset(ids[v] for v in symbolic.unsatisfied)
         )
         assert ex.gold == expected
+
+
+def test_load_bank_skips_non_objects(tmp_path, caplog):
+    path = tmp_path / "lists.jsonl"
+    lines = ["[1, 2]", "5", '"premise"', json.dumps({"premise": "p", "hypothesis": "h", "label": "neutral"})]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with caplog.at_level("WARNING"):
+        bank = load_nli_bank(path)
+    assert len(bank) == 1
+    assert bank.skipped == 3
+    assert [r.message for r in caplog.records][:3] == [
+        f"{path}:{n}: not a JSON object, skipping" for n in (1, 2, 3)
+    ]
+
+
+def test_sample_any_matches_bucket_walk():
+    records = {
+        label: tuple(NliRecord(f"{label} p{i}", f"{label} h{i}", label) for i in range(n))
+        for label, n in (("entailment", 3), ("contradiction", 0), ("neutral", 5))
+    }
+    bank = NliBank(path="mem", by_label=records)
+    assert len(bank) == 8
+
+    class Fixed:
+        def __init__(self, value):
+            self.value = value
+
+        def randrange(self, n):
+            assert n == 8
+            return self.value
+
+    for index in range(len(bank)):
+        # The bucket walk: the index falls through the buckets in label order.
+        rest = index
+        for label in ("entailment", "contradiction", "neutral"):
+            if rest < len(records[label]):
+                expected = records[label][rest]
+                break
+            rest -= len(records[label])
+        assert bank.sample_any(Fixed(index)) == expected
+
+
+# --- compiled plans -----------------------------------------------------------
+
+# sha256 of the files `condlogic generate` writes for the conftest bank
+# (60 records), seed 7, 10 templates, 300 dev + 300 test examples. They
+# pin byte-identical output across changes to generation.
+GOLDEN_DIGESTS = {
+    "templates.jsonl": "003232617dbc67374b95bd554387ea0776ef07fea974042a4dd07cd3567abd93",
+    "dev.jsonl": "02d4fd58ba8a25632c39e56e9ce5955f9a33f5921aee4cc33be1344ceb203a5b",
+    "test.jsonl": "6bd7f63b06b566731a4a5e5c99d02a732aafb642a21a59c627a4badf3cff0e24",
+}
+
+
+def test_generate_golden_digests(tmp_path, bank_path, capsys):
+    from condlogic import cli
+
+    out_dir = tmp_path / "data"
+    argv = ["generate", "--bank", str(bank_path), "--out", str(out_dir), "--seed", "7",
+            "--templates", "10", "--dev", "300", "--test", "300"]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    digests = {
+        name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest() for name in GOLDEN_DIGESTS
+    }
+    assert digests == GOLDEN_DIGESTS
+
+
+def test_dataset_matches_bare_instantiate(bank):
+    config = GenConfig(seed=5, n_templates=12, n_dev=60, n_test=0)
+    by_id = {t.template_id: t for t in generate_templates(config)}
+    split_seed = _derive_seed(config.seed, "dev")
+    for index, ex in enumerate(generate_dataset(config, bank, "dev")):
+        assert ex == instantiate(by_id[ex.template_id], bank, index, seed=split_seed)
+
+
+_configs = st.builds(
+    GenConfig,
+    seed=st.integers(0, 2**32),
+    max_conditions=st.integers(1, 12),
+    n_templates=st.integers(1, 4),
+    n_dev=st.integers(1, 40),
+    operator_weights=st.sampled_from([(1.0, 1.0), (1.0, 0.0), (0.0, 1.0), (0.2, 3.0)]),
+    fact_probability=st.sampled_from([0.0, 0.3, 0.5, 1.0]),
+    negation_probability=st.sampled_from([0.0, 0.25, 0.6, 1.0]),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(config=_configs)
+def test_plan_gold_matches_solver(big_bank, config):
+    templates = generate_templates(config)
+    by_id = {t.template_id: t for t in templates}
+    with mock.patch.object(generate_module, "solve_template", wraps=solve_template) as spy:
+        examples = list(generate_dataset(config, big_bank, "dev"))
+    # Compiled once per template, not once per example.
+    assert spy.call_count == len(templates)
+
+    for ex in examples:
+        template = by_id[ex.template_id]
+        ids = condition_ids(template)
+        symbolic = solve_template(template)
+        assert ex.gold == Verdict(symbolic.label, frozenset(ids[v] for v in symbolic.unsatisfied))
+        relevant = [
+            gi for gi, g in enumerate(template.groups) if g.consequent.lower() == template.question_var
+        ]
+        relevant_ids = {c.id for gi in relevant for c in ex.context[gi].conditions}
+        assert ex.gold.unsatisfied <= relevant_ids
