@@ -11,7 +11,7 @@ Exit codes: 0 success, 1 usage or validation error, 2 I/O error.
 from __future__ import annotations
 
 import argparse
-import json
+import io
 import logging
 import sys
 from collections import Counter
@@ -19,7 +19,7 @@ from itertools import islice
 from pathlib import Path
 
 from .contexts import build_dom_tree, load_html_elements, parse_html_context
-from .dataset_io import SplitManifest, _sorted_ids, write_split
+from .dataset_io import SplitManifest, _sorted_ids, group_to_dict, write_split
 from .errors import InvariantError, ToolkitError
 from .generate import (
     GenConfig,
@@ -28,6 +28,7 @@ from .generate import (
     generate_templates,
     load_nli_bank,
 )
+from .jsonl import JsonlReader, undecodable, write_jsonl
 from .logic import LogicalType, TaskProfile, enumerate_assignments
 from .metrics import evaluate_files, format_report
 from .templates import condition_ids, parse_template_dsl, render_template_dsl, solve_template
@@ -67,10 +68,8 @@ def cmd_generate(args) -> int:
 
     templates = generate_templates(config)
     templates_path = out_dir / "templates.jsonl"
-    with open(templates_path, "w", encoding="utf-8") as handle:
-        for template in templates:
-            record = {"template_id": template.template_id, "dsl": render_template_dsl(template)}
-            handle.write(json.dumps(record, ensure_ascii=False) + "\n")
+    records = ({"template_id": t.template_id, "dsl": render_template_dsl(t)} for t in templates)
+    write_jsonl(templates_path, records)
 
     histogram: Counter = Counter()
 
@@ -123,38 +122,30 @@ def cmd_solve(args) -> int:
     if args.assignments:
         print(_assignments_table(args.assignments))
         return 0
-    if args.file:
-        source = args.file
-        text = Path(source).read_text(encoding="utf-8")
-    elif args.stdin:
-        source = "<stdin>"
-        text = sys.stdin.read()
-    else:
+    if not (args.file or args.stdin):
         raise ToolkitError("nothing to solve: pass --file, --stdin, or --assignments")
+    source = args.file or "<stdin>"
+    try:
+        text = Path(source).read_text(encoding="utf-8") if args.file else sys.stdin.read()
+    except UnicodeDecodeError as exc:
+        raise undecodable(source, exc) from None
 
     stripped = text.lstrip()
     if not stripped:
         raise ToolkitError("empty input")
 
-    results = []
+    def solve_record(record: dict):
+        if not isinstance(record.get("dsl"), str):
+            raise InvariantError("expected an object with a string 'dsl' field")
+        template = parse_template_dsl(record["dsl"])
+        return record.get("template_id"), solve_template(template), condition_ids(template)
+
     if stripped.startswith("{"):
         # A templates.jsonl file: one {template_id, dsl} record per line.
-        for line_no, line in enumerate(text.splitlines(), start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise InvariantError(f"{source}:{line_no}: invalid JSON ({exc})") from None
-            if not isinstance(record, dict) or not isinstance(record.get("dsl"), str):
-                raise InvariantError(f"{source}:{line_no}: expected an object with a string 'dsl' field")
-            template = parse_template_dsl(record["dsl"])
-            ids = condition_ids(template)
-            verdict = solve_template(template)
-            results.append((record.get("template_id"), verdict, ids))
+        results = list(JsonlReader(io.StringIO(text), source, solve_record, strict=True))
     else:
         template = parse_template_dsl(text)
-        results.append((None, solve_template(template), condition_ids(template)))
+        results = [(None, solve_template(template), condition_ids(template))]
 
     out_rows = []
     for template_id, verdict, ids in results:
@@ -165,9 +156,7 @@ def cmd_solve(args) -> int:
             {"template_id": template_id, "answer_label": verdict.label, "unsatisfied": _sorted_ids(mapped)}
         )
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            for row in out_rows:
-                handle.write(json.dumps(row) + "\n")
+        write_jsonl(args.out, out_rows)
     return 0
 
 
@@ -177,15 +166,7 @@ def cmd_parse_context(args) -> int:
         print(f"error: no usable elements in {args.infile}", file=sys.stderr)
         return 2
     groups = parse_html_context(elements)
-    with open(args.out, "w", encoding="utf-8") as handle:
-        for group in groups:
-            record = {
-                "result_id": group.result_id,
-                "result": group.result_text,
-                "type": group.logical_type.value,
-                "conditions": [{"id": c.id, "text": c.text} for c in group.conditions],
-            }
-            handle.write(json.dumps(record, ensure_ascii=False) + "\n")
+    write_jsonl(args.out, (group_to_dict(group) for group in groups))
     print(f"{len(groups)} group(s), {sum(len(g.conditions) for g in groups)} condition(s)")
 
     if args.stats:
@@ -250,25 +231,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-#: Argument names that hold input files, across all subcommands.
-_INPUT_ARGS = ("bank", "file", "infile", "gold", "pred")
-
-
-def _undecodable_input(args) -> str:
-    """Name the input that is not valid UTF-8 (the decoder does not say)."""
-    for name in _INPUT_ARGS:
-        path = getattr(args, name, None)
-        if not path:
-            continue
-        try:
-            Path(path).read_bytes().decode("utf-8")
-        except UnicodeDecodeError:
-            return path
-        except OSError:
-            continue
-    return "<stdin>"
-
-
 def main(argv=None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.WARNING, format="%(message)s")
     args = _build_parser().parse_args(argv)
@@ -276,12 +238,6 @@ def main(argv=None) -> int:
         return args.func(args)
     except ToolkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except json.JSONDecodeError as exc:
-        print(f"error: invalid JSON input ({exc})", file=sys.stderr)
-        return 1
-    except UnicodeDecodeError as exc:
-        print(f"error: {_undecodable_input(args)}: not UTF-8 text ({exc})", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

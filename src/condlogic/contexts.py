@@ -14,14 +14,11 @@ accepted directly: every span becomes one condition of a single group.
 
 from __future__ import annotations
 
-import json
-import logging
 from dataclasses import dataclass, field
 
 from .errors import InvariantError
+from .jsonl import JsonlReader
 from .logic import Condition, ConditionGroup, LogicalType
-
-logger = logging.getLogger(__name__)
 
 HEADING_TAGS = ("h1", "h2", "h3", "h4")
 KNOWN_TAGS = HEADING_TAGS + ("p", "li", "tr", "other")
@@ -56,26 +53,19 @@ def load_html_elements(path) -> list[HtmlElement]:
     or whose text is blank are skipped with a warning.
     """
     elements: list[HtmlElement] = []
+
+    def parse(raw: dict) -> HtmlElement:
+        text = str(raw.get("text", "")).strip()
+        if not text:
+            raise ValueError("empty text")
+        tag = str(raw.get("tag", "other")).lower()
+        if tag not in KNOWN_TAGS:
+            tag = "other"
+        return HtmlElement(tag=tag, text=text, index=len(elements))
+
     with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                raw = json.loads(line)
-            except json.JSONDecodeError:
-                logger.warning("%s:%d: invalid JSON, skipping", path, line_no)
-                continue
-            if not isinstance(raw, dict):
-                logger.warning("%s:%d: not a JSON object, skipping", path, line_no)
-                continue
-            text = str(raw.get("text", "")).strip()
-            if not text:
-                logger.warning("%s:%d: empty text, skipping", path, line_no)
-                continue
-            tag = str(raw.get("tag", "other")).lower()
-            if tag not in KNOWN_TAGS:
-                tag = "other"
-            elements.append(HtmlElement(tag=tag, text=text, index=len(elements)))
+        for element in JsonlReader(handle, path, parse):
+            elements.append(element)
     return elements
 
 

@@ -4,8 +4,8 @@ Splits are JSON Lines files of serialized examples; each split carries a
 ``<name>.manifest`` sidecar recording the split name, record count,
 master seed, config hash, and toolkit version. Reading is tolerant:
 invalid records and a partially written final line are reported and
-skipped, and a manifest/record-count mismatch is a warning, not an
-error.
+skipped, and a malformed manifest or a manifest/record-count mismatch
+is a warning, not an error.
 """
 
 from __future__ import annotations
@@ -13,12 +13,13 @@ from __future__ import annotations
 import json
 import logging
 import re
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Iterable, Iterator
 
 from . import __version__
 from .generate import Example
-from .logic import Condition, ConditionGroup, LogicalType, Verdict
+from .jsonl import JsonlReader, write_jsonl
+from .logic import Condition, ConditionGroup, LogicalType, TaskProfile, Verdict
 
 logger = logging.getLogger(__name__)
 
@@ -37,13 +38,7 @@ class SplitManifest:
     version: str = __version__
 
     def to_dict(self) -> dict:
-        return {
-            "split": self.split,
-            "count": self.count,
-            "seed": self.seed,
-            "config_hash": self.config_hash,
-            "version": self.version,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SplitManifest":
@@ -60,19 +55,20 @@ def _sorted_ids(ids) -> list[str]:
     return sorted(ids, key=lambda i: (len(i), i))
 
 
+def group_to_dict(group: ConditionGroup) -> dict:
+    return {
+        "result_id": group.result_id,
+        "result": group.result_text,
+        "type": group.logical_type.value,
+        "conditions": [{"id": c.id, "text": c.text} for c in group.conditions],
+    }
+
+
 def example_to_dict(example: Example) -> dict:
     return {
         "template_id": example.template_id,
         "seed": example.seed,
-        "context": [
-            {
-                "result_id": group.result_id,
-                "result": group.result_text,
-                "type": group.logical_type.value,
-                "conditions": [{"id": c.id, "text": c.text} for c in group.conditions],
-            }
-            for group in example.context
-        ],
+        "context": [group_to_dict(group) for group in example.context],
         "facts": list(example.facts),
         "question": example.question,
         "answer_label": example.gold.label,
@@ -84,8 +80,9 @@ def example_from_dict(raw: dict) -> Example:
     """Deserialize one example record, validating its shape.
 
     Raises ``ValueError`` on missing fields, fields of the wrong type,
-    malformed condition ids, unknown group types, or unsatisfied ids
-    that name no condition.
+    malformed condition ids, unknown group types, ``required`` groups
+    without exactly one condition, answer labels outside the condnli
+    label set, or unsatisfied ids that name no condition.
     """
     if not isinstance(raw, dict):
         raise ValueError("record is not an object")
@@ -103,6 +100,9 @@ def example_from_dict(raw: dict) -> Example:
     seed = raw["seed"]
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise ValueError(f"seed is not an integer: {seed!r}")
+    label = raw["answer_label"]
+    if not isinstance(label, str) or label not in TaskProfile.CONDNLI.labels:
+        raise ValueError(f"unknown answer label {label!r}")
 
     groups = []
     condition_ids: set[str] = set()
@@ -124,6 +124,8 @@ def example_from_dict(raw: dict) -> Example:
                 raise ValueError(f"malformed condition id {cid!r}")
             condition_ids.add(cid)
             conditions.append(Condition(id=cid, text=str(cond.get("text", ""))))
+        if type_token == "required" and len(conditions) != 1:
+            raise ValueError(f"required group has {len(conditions)} conditions, expected 1")
         groups.append(
             ConditionGroup(
                 result_id=str(entry.get("result_id", "")),
@@ -142,7 +144,7 @@ def example_from_dict(raw: dict) -> Example:
         context=tuple(groups),
         facts=tuple(str(f) for f in raw["facts"]),
         question=str(raw["question"]),
-        gold=Verdict(str(raw["answer_label"]), frozenset(unsatisfied)),
+        gold=Verdict(label, frozenset(unsatisfied)),
         template_id=str(raw["template_id"]),
         seed=seed,
     )
@@ -165,24 +167,26 @@ def write_split(examples: Iterable[Example], path, manifest: SplitManifest) -> S
         manifest: manifest fields; ``count`` is replaced by the number
             of records actually written.
     """
-    count = 0
-    with open(path, "w", encoding="utf-8") as handle:
-        for example in examples:
-            handle.write(json.dumps(example_to_dict(example), ensure_ascii=False) + "\n")
-            count += 1
+    count = write_jsonl(path, (example_to_dict(example) for example in examples))
     final = replace(manifest, count=count)
-    with open(manifest_path(path), "w", encoding="utf-8") as handle:
-        json.dump(final.to_dict(), handle)
-        handle.write("\n")
+    write_jsonl(manifest_path(path), [final.to_dict()])
     return final
 
 
 def read_manifest(split_path) -> SplitManifest | None:
-    """Load the manifest sidecar for a split, ``None`` when absent."""
+    """Load the manifest sidecar for a split.
+
+    ``None`` when the sidecar is absent, or when it is malformed, which
+    is logged as a warning.
+    """
+    path = manifest_path(split_path)
     try:
-        with open(manifest_path(split_path), encoding="utf-8") as handle:
+        with open(path, encoding="utf-8") as handle:
             return SplitManifest.from_dict(json.load(handle))
     except FileNotFoundError:
+        return None
+    except (ValueError, KeyError, TypeError) as exc:
+        logger.warning("%s: invalid manifest (%s: %s), ignoring", path, type(exc).__name__, exc)
         return None
 
 
@@ -196,17 +200,7 @@ def read_split(path) -> Iterator[Example]:
     """
     valid = 0
     with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            if not line.endswith("\n"):
-                logger.warning("%s:%d: partial trailing line, skipping", path, line_no)
-                break
-            if not line.strip():
-                continue
-            try:
-                example = example_from_dict(json.loads(line))
-            except (json.JSONDecodeError, ValueError) as exc:
-                logger.warning("%s:%d: invalid record (%s), skipping", path, line_no, exc)
-                continue
+        for example in JsonlReader(handle, path, example_from_dict, partial_tail=True):
             valid += 1
             yield example
     manifest = read_manifest(path)

@@ -19,13 +19,13 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-import logging
 import random
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Iterator
 
 from .errors import BankError, GenerationError, InvariantError
+from .jsonl import JsonlReader
 from .logic import Condition, ConditionGroup, LogicalType, Verdict
 from .templates import (
     TARGET_RELATIONS,
@@ -36,8 +36,6 @@ from .templates import (
     render_template_dsl,
     solve_template,
 )
-
-logger = logging.getLogger(__name__)
 
 NLI_LABELS = ("entailment", "contradiction", "neutral")
 
@@ -131,39 +129,27 @@ def load_nli_bank(path) -> NliBank:
     outside entailment/contradiction/neutral) are skipped and counted. A bank
     with no valid records raises :class:`BankError`.
     """
+
+    def parse(raw: dict) -> NliRecord:
+        fields = {
+            name: next((raw[a] for a in aliases if a in raw), None)
+            for name, aliases in _FIELD_ALIASES.items()
+        }
+        if not all(isinstance(v, str) and v for v in fields.values()):
+            raise ValueError("missing or empty fields")
+        if fields["label"] not in NLI_LABELS:
+            raise ValueError(f"unknown label {fields['label']!r}")
+        return NliRecord(**fields)
+
     buckets: dict[str, list[NliRecord]] = {label: [] for label in NLI_LABELS}
-    skipped = 0
     with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                raw = json.loads(line)
-            except json.JSONDecodeError:
-                logger.warning("%s:%d: invalid JSON, skipping", path, line_no)
-                skipped += 1
-                continue
-            if not isinstance(raw, dict):
-                logger.warning("%s:%d: not a JSON object, skipping", path, line_no)
-                skipped += 1
-                continue
-            fields = {}
-            for name, aliases in _FIELD_ALIASES.items():
-                value = next((raw[a] for a in aliases if a in raw), None)
-                fields[name] = value
-            if not all(isinstance(v, str) and v for v in fields.values()):
-                logger.warning("%s:%d: missing or empty fields, skipping", path, line_no)
-                skipped += 1
-                continue
-            if fields["label"] not in NLI_LABELS:
-                logger.warning("%s:%d: unknown label %r, skipping", path, line_no, fields["label"])
-                skipped += 1
-                continue
-            buckets[fields["label"]].append(NliRecord(**fields))
+        reader = JsonlReader(handle, path, parse)
+        for record in reader:
+            buckets[record.label].append(record)
     bank = NliBank(
         path=str(path),
         by_label={label: tuple(records) for label, records in buckets.items()},
-        skipped=skipped,
+        skipped=reader.skipped,
     )
     if not len(bank):
         raise BankError(f"bank {path!r} contains no valid records")
@@ -277,13 +263,6 @@ def generate_templates(config: GenConfig) -> tuple[Template, ...]:
         seen.add(key)
         out.append(replace(candidate, template_id=f"T{len(out):03d}"))
     return tuple(out)
-
-
-def generate_template(config: GenConfig, index: int) -> Template:
-    """The ``index``-th template of the deterministic distinct sequence."""
-    if not 0 <= index < config.n_templates:
-        raise InvariantError(f"template index {index} out of range")
-    return generate_templates(config)[index]
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,96 @@
+"""The one reader and the one writer of JSON Lines files.
+
+Every JSONL input (NLI bank, tagged page, dataset split, gold and
+prediction files, templates.jsonl) goes through :class:`JsonlReader`,
+and every JSONL output through :func:`write_jsonl`, so line numbering,
+blank lines, fault wording and text encoding are decided here once.
+"""
+
+from __future__ import annotations
+
+import json
+import logging
+from dataclasses import KW_ONLY, dataclass, field
+from typing import Callable, Iterable, Iterator
+
+from .errors import InvariantError, ToolkitError
+
+logger = logging.getLogger(__name__)
+
+
+def undecodable(source, exc: UnicodeDecodeError) -> InvariantError:
+    """The error for input that is not UTF-8 text."""
+    return InvariantError(f"{source}: not UTF-8 text ({exc})")
+
+
+@dataclass
+class JsonlReader:
+    """The records of one JSONL stream, read under one fault policy.
+
+    Lines are numbered from 1 and blank lines are ignored. Every other
+    line must hold a JSON object, which ``parse`` turns into the record
+    that is yielded; ``parse`` rejects an object by raising
+    ``ValueError`` or a :class:`ToolkitError`. Each fault is reported as
+    ``source:line: reason``. The ``strict`` policy raises
+    :class:`InvariantError`; the tolerant one logs
+    ``source:line: reason, skipping``, counts the line in ``skipped``
+    and goes on. With ``partial_tail``, a last line without a newline is
+    a partially written record: it is reported as such and not parsed.
+    Undecodable input raises :class:`InvariantError` naming the source
+    under either policy.
+
+    ``lines`` keep their newlines (an open text file will do); ``source``
+    names them in reports, a path or ``<stdin>``.
+    """
+
+    lines: Iterable[str]
+    source: object
+    parse: Callable[[dict], object]
+    _: KW_ONLY
+    strict: bool = False
+    partial_tail: bool = False
+    skipped: int = field(default=0, init=False)
+
+    def __iter__(self) -> Iterator:
+        try:
+            for line_no, line in enumerate(self.lines, start=1):
+                if self.partial_tail and not line.endswith("\n"):
+                    self._fault(line_no, "partial trailing line")
+                    return
+                if not line.strip():
+                    continue
+                try:
+                    raw = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    self._fault(line_no, f"invalid JSON ({exc})")
+                    continue
+                if not isinstance(raw, dict):
+                    self._fault(line_no, "not a JSON object")
+                    continue
+                try:
+                    record = self.parse(raw)
+                except (ValueError, ToolkitError) as exc:
+                    self._fault(line_no, str(exc))
+                    continue
+                yield record
+        except UnicodeDecodeError as exc:
+            raise undecodable(self.source, exc) from None
+
+    def _fault(self, line_no: int, reason: str) -> None:
+        if self.strict:
+            raise InvariantError(f"{self.source}:{line_no}: {reason}")
+        logger.warning("%s:%d: %s, skipping", self.source, line_no, reason)
+        self.skipped += 1
+
+
+def write_jsonl(path, records: Iterable[dict]) -> int:
+    """Write one JSON object per line as UTF-8, streaming; returns the count.
+
+    Non-ASCII text is written as is, not as ``\\u`` escapes.
+    """
+    count = 0
+    with open(path, "w", encoding="utf-8") as handle:
+        for record in records:
+            handle.write(json.dumps(record, ensure_ascii=False) + "\n")
+            count += 1
+    return count

@@ -12,7 +12,6 @@ follow-up questions get sentence BLEU without smoothing.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 import re
@@ -21,6 +20,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 
 from .errors import InvariantError
+from .jsonl import JsonlReader, write_jsonl
 from .logic import TaskProfile
 
 logger = logging.getLogger(__name__)
@@ -202,20 +202,6 @@ class EvalReport:
     n_unmatched_predictions: int = 0
 
 
-def _read_jsonl(path):
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                raw = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise InvariantError(f"{path}:{line_no}: invalid JSON ({exc})") from exc
-            if not isinstance(raw, dict):
-                raise InvariantError(f"{path}:{line_no}: expected an object, got {type(raw).__name__}")
-            yield line_no, raw
-
-
 def _str_list(value) -> list[str]:
     if value is None:
         return []
@@ -236,26 +222,24 @@ def read_gold_file(path) -> list[GoldRecord]:
     ``answer_label`` doubles as the single reference when no ``answers``
     list is present. Records without an ``id`` get their position.
     """
-    records = []
-    seen = set()
-    for line_no, raw in _read_jsonl(path):
-        try:
-            example_id = str(raw.get("id", len(records)))
-            if example_id in seen:
-                raise InvariantError(f"duplicate example id {example_id!r}")
-            records.append(
-                GoldRecord(
-                    example_id=example_id,
-                    answers=tuple(_str_list(raw.get("answers"))),
-                    unsatisfied=frozenset(_str_list(raw.get("unsatisfied", raw.get("conditions")))),
-                    label=_opt_str(raw.get("label", raw.get("answer_label")), "label"),
-                    question=_opt_str(raw.get("question"), "question"),
-                )
-            )
-        except InvariantError as exc:
-            raise InvariantError(f"{path}:{line_no}: {exc}") from None
-        seen.add(example_id)
-    return records
+    records: dict[str, GoldRecord] = {}
+
+    def parse(raw: dict) -> GoldRecord:
+        example_id = str(raw.get("id", len(records)))
+        if example_id in records:
+            raise InvariantError(f"duplicate example id {example_id!r}")
+        return GoldRecord(
+            example_id=example_id,
+            answers=tuple(_str_list(raw.get("answers"))),
+            unsatisfied=frozenset(_str_list(raw.get("unsatisfied", raw.get("conditions")))),
+            label=_opt_str(raw.get("label", raw.get("answer_label")), "label"),
+            question=_opt_str(raw.get("question"), "question"),
+        )
+
+    with open(path, encoding="utf-8") as handle:
+        for gold in JsonlReader(handle, path, parse, strict=True):
+            records[gold.example_id] = gold
+    return list(records.values())
 
 
 def read_prediction_file(path) -> dict[str, Prediction]:
@@ -266,25 +250,31 @@ def read_prediction_file(path) -> dict[str, Prediction]:
     answer text, ``conditions``/``unsatisfied`` the id set.
     """
     predictions: dict[str, Prediction] = {}
-    for line_no, raw in _read_jsonl(path):
-        try:
-            example_id = str(raw.get("id", len(predictions)))
-            if example_id in predictions:
-                raise InvariantError(f"duplicate example id {example_id!r}")
-            answer = raw.get("answer", raw.get("answer_label"))
-            if answer is None:
-                answers = _str_list(raw.get("answers"))
-                answer = answers[0] if answers else ""
-            predictions[example_id] = Prediction(
-                example_id=example_id,
-                answer_text=str(answer),
-                unsatisfied=frozenset(_str_list(raw.get("conditions", raw.get("unsatisfied")))),
-                label=_opt_str(raw.get("label", raw.get("answer_label")), "label"),
-                question=_opt_str(raw.get("question"), "question"),
-            )
-        except InvariantError as exc:
-            raise InvariantError(f"{path}:{line_no}: {exc}") from None
+
+    def parse(raw: dict) -> Prediction:
+        example_id = str(raw.get("id", len(predictions)))
+        if example_id in predictions:
+            raise InvariantError(f"duplicate example id {example_id!r}")
+        answer = raw.get("answer", raw.get("answer_label"))
+        if answer is None:
+            answers = _str_list(raw.get("answers"))
+            answer = answers[0] if answers else ""
+        return Prediction(
+            example_id=example_id,
+            answer_text=str(answer),
+            unsatisfied=frozenset(_str_list(raw.get("conditions", raw.get("unsatisfied")))),
+            label=_opt_str(raw.get("label", raw.get("answer_label")), "label"),
+            question=_opt_str(raw.get("question"), "question"),
+        )
+
+    with open(path, encoding="utf-8") as handle:
+        for pred in JsonlReader(handle, path, parse, strict=True):
+            predictions[pred.example_id] = pred
     return predictions
+
+
+def _predicted_label(pred: Prediction) -> str:
+    return pred.label if pred.label is not None else pred.answer_text
 
 
 def score_example(pred: Prediction | None, gold: GoldRecord) -> dict:
@@ -307,9 +297,7 @@ def score_example(pred: Prediction | None, gold: GoldRecord) -> dict:
         "bleu4": None,
     }
     if gold.label is not None:
-        pred_label = pred.label if pred.label is not None else pred.answer_text
-        row["label_correct"] = int(pred_label == gold.label)
-        row["gold_label"] = gold.label
+        row["label_correct"] = int(_predicted_label(pred) == gold.label)
     if gold.question is not None:
         pred_question = pred.question or ""
         row["bleu1"] = bleu(pred_question, gold.question, 1)
@@ -344,14 +332,14 @@ def evaluate_files(pred_path, gold_path, profile: TaskProfile, per_example_path=
 
     rows = [score_example(predictions.get(g.example_id), g) for g in golds]
 
-    labelled = [r for r in rows if r["label_correct"] is not None]
+    labelled = [g for g in golds if g.label is not None]
     micro = macro = None
     if labelled:
-        micro = sum(r["label_correct"] for r in labelled) / len(labelled)
-        per_class: dict[str, list[int]] = defaultdict(list)
-        for r in labelled:
-            per_class[r["gold_label"]].append(r["label_correct"])
-        macro = sum(sum(v) / len(v) for v in per_class.values()) / len(per_class)
+        empty = Prediction(example_id="")
+        micro, macro = label_accuracy(
+            [_predicted_label(predictions.get(g.example_id, empty)) for g in labelled],
+            [g.label for g in labelled],
+        )
 
     report = EvalReport(
         em=_mean(r["em"] for r in rows),
@@ -370,10 +358,7 @@ def evaluate_files(pred_path, gold_path, profile: TaskProfile, per_example_path=
         n_unmatched_predictions=len(unmatched),
     )
     if per_example_path is not None:
-        with open(per_example_path, "w", encoding="utf-8") as handle:
-            for row in rows:
-                row = {k: v for k, v in row.items() if k != "gold_label"}
-                handle.write(json.dumps(row) + "\n")
+        write_jsonl(per_example_path, rows)
     return report
 
 

@@ -248,7 +248,7 @@ def test_evaluate_non_object_line_exits_one(tmp_path, capsys, which):
         capsys, "evaluate", "--pred", str(files["pred"]), "--gold", str(files["gold"]), "--profile", "condnli"
     )
     assert code == 1
-    assert f"{bad}:2: expected an object, got list" in err
+    assert f"{bad}:2: not a JSON object" in err
 
 
 @pytest.mark.parametrize(
@@ -280,6 +280,24 @@ def test_evaluate_non_utf8_exits_one(tmp_path, capsys):
     assert f"error: {bad}: not UTF-8 text" in err
 
 
+@pytest.mark.parametrize("command", ["generate", "parse-context", "solve-file", "solve-stdin"])
+def test_non_utf8_input_names_the_file(tmp_path, capsys, monkeypatch, command):
+    bad = tmp_path / "latin1.jsonl"
+    bad.write_bytes(b'{"text": "caf\xe9"}\n')
+    argv = {
+        "generate": ["generate", "--bank", str(bad), "--out", str(tmp_path / "out"), "--seed", "1"],
+        "parse-context": ["parse-context", "--in", str(bad), "--out", str(tmp_path / "o")],
+        "solve-file": ["solve", "--file", str(bad)],
+        "solve-stdin": ["solve", "--stdin"],
+    }[command]
+    if command == "solve-stdin":
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(bad.read_bytes()), encoding="utf-8"))
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    name = "<stdin>" if command == "solve-stdin" else bad
+    assert f"error: {name}: not UTF-8 text" in err
+
+
 def test_parse_context_skips_non_object_line(tmp_path, capsys, caplog):
     infile = tmp_path / "doc.jsonl"
     infile.write_text('[1,2]\n{"tag": "p", "text": "You must apply."}\n', encoding="utf-8")
@@ -290,11 +308,23 @@ def test_parse_context_skips_non_object_line(tmp_path, capsys, caplog):
     assert f"{infile}:1: not a JSON object, skipping" in caplog.text
 
 
-@pytest.mark.parametrize("line", ['{"dsl": 1}', "[1, 2]", '{"template_id": "T000"}'])
-def test_solve_templates_jsonl_bad_record_exits_one(tmp_path, capsys, line):
+@pytest.mark.parametrize(
+    "line,fragment",
+    [
+        ('{"dsl": 1}', "expected an object with a string 'dsl' field"),
+        ("[1, 2]", "not a JSON object"),
+        ('{"template_id": "T000"}', "expected an object with a string 'dsl' field"),
+        (
+            json.dumps({"template_id": "T001", "dsl": REFERENCE_TEMPLATE.replace("If all", "If both")}),
+            "line 1, column 4: unknown operator 'both'",
+        ),
+    ],
+    ids=['{"dsl": 1}', "[1, 2]", '{"template_id": "T000"}', "dsl-parse-error"],
+)
+def test_solve_templates_jsonl_bad_record_exits_one(tmp_path, capsys, line, fragment):
     path = tmp_path / "templates.jsonl"
     good = json.dumps({"template_id": "T000", "dsl": REFERENCE_TEMPLATE})
     path.write_text(f"{good}\n{line}\n", encoding="utf-8")
     code, _, err = run(capsys, "solve", "--file", str(path))
     assert code == 1
-    assert f"{path}:2: expected an object with a string 'dsl' field" in err
+    assert f"{path}:2: {fragment}" in err

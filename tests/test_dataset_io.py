@@ -95,6 +95,23 @@ def test_manifest_count_mismatch_warns(tmp_path, examples, caplog):
     assert any("manifest declares 5" in r.message for r in caplog.records)
 
 
+@pytest.mark.parametrize(
+    "sidecar",
+    ["{}", "not json", '{"split": "dev", "count": "x", "seed": 1, "config_hash": "h"}', "[1]"],
+)
+def test_malformed_manifest_is_ignored(tmp_path, examples, caplog, sidecar):
+    exs, config = examples
+    path = tmp_path / "dev.jsonl"
+    write_split(exs[:2], path, SplitManifest("dev", 0, config.seed, "h"))
+    with open(manifest_path(path), "w", encoding="utf-8") as handle:
+        handle.write(sidecar + "\n")
+    with caplog.at_level("WARNING"):
+        assert read_manifest(path) is None
+        assert list(read_split(path)) == exs[:2]
+    assert f"{manifest_path(path)}: invalid manifest (" in caplog.text
+    assert "ignoring" in caplog.text
+
+
 def test_missing_manifest_is_none(tmp_path, examples):
     exs, config = examples
     path = tmp_path / "dev.jsonl"
@@ -114,6 +131,13 @@ def test_missing_manifest_is_none(tmp_path, examples):
         (lambda r: r["context"][0].update(type="xor"), "unknown group type"),
         (lambda r: r["context"][0]["conditions"][0].update(id="K1"), "malformed condition id"),
         (lambda r: r.update(unsatisfied=["C999"]), "name no condition"),
+        (lambda r: r.update(answer_label="banana"), "unknown answer label 'banana'"),
+        (
+            lambda r: r["context"][0].update(
+                type="required", conditions=[{"id": f"C{i}", "text": "t"} for i in range(3)]
+            ),
+            "required group has 3 conditions",
+        ),
     ],
 )
 def test_example_from_dict_validation(examples, mutate, fragment):
@@ -154,4 +178,4 @@ def test_malformed_field_skipped_by_read_split(tmp_path, examples, caplog, mutat
     path.write_text(json.dumps(raw) + "\n" + json.dumps(example_to_dict(exs[1])) + "\n", encoding="utf-8")
     with caplog.at_level("WARNING"):
         assert list(read_split(path)) == [exs[1]]
-    assert f"{path}:1: invalid record ({fragment}" in caplog.text
+    assert f"{path}:1: {fragment}" in caplog.text

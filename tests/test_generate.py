@@ -21,7 +21,6 @@ from condlogic import (
     condition_ids,
     config_hash,
     generate_dataset,
-    generate_template,
     generate_templates,
     instantiate,
     load_nli_bank,
@@ -151,15 +150,6 @@ def test_templates_exhausted_space():
     )
     with pytest.raises(GenerationError):
         generate_templates(config)
-
-
-def test_generate_template_index_bounds():
-    config = GenConfig(seed=7, n_templates=5)
-    assert generate_template(config, 4) == generate_templates(config)[4]
-    with pytest.raises(InvariantError):
-        generate_template(config, 5)
-    with pytest.raises(InvariantError):
-        generate_template(config, -1)
 
 
 def test_templates_cover_operators_and_targets():
