@@ -54,6 +54,8 @@ def _format_verdict(label: str, unsatisfied) -> str:
 
 
 def cmd_generate(args) -> int:
+    if args.train < 0:
+        raise ToolkitError("--train cannot be negative")
     config = GenConfig(
         seed=args.seed,
         max_conditions=args.max_conditions,
@@ -163,8 +165,7 @@ def cmd_solve(args) -> int:
 def cmd_parse_context(args) -> int:
     elements = load_html_elements(args.infile)
     if not elements:
-        print(f"error: no usable elements in {args.infile}", file=sys.stderr)
-        return 2
+        raise ToolkitError(f"no usable elements in {args.infile}")
     groups = parse_html_context(elements)
     write_jsonl(args.out, (group_to_dict(group) for group in groups))
     print(f"{len(groups)} group(s), {sum(len(g.conditions) for g in groups)} condition(s)")

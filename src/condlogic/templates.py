@@ -91,60 +91,71 @@ class Template:
         return sum(len(g.conditions) for g in self.groups)
 
 
-def validate_template(t: Template, max_conditions: int | None = None) -> None:
+def _first_fault(t: Template) -> tuple[str, str, int] | None:
+    """Return the first template rule ``t`` breaks, or ``None``.
+
+    A fault is ``(message, site, index)``; the site names the offending
+    occurrence: ``"condition"`` (index in document order), ``"premise"``
+    (group index), ``"fact"`` (fact index), ``"question"`` or ``"label"``
+    (index 0). Conditions are checked first, then premises, facts, the
+    label and the question.
+    """
+    if not t.groups:
+        return "template has no groups", "premise", 0
+    cond_vars: set[str] = set()
+    for gi, g in enumerate(t.groups):
+        if g.logical_type not in (LogicalType.ALL, LogicalType.ANY):
+            return f"template groups use all/any, got {g.logical_type.value!r}", "premise", gi
+        if not g.conditions:
+            return f"group {g.consequent!r} has no conditions", "premise", gi
+        for ref in g.conditions:
+            # Every earlier condition is distinct, so len(cond_vars) is this one's index.
+            if not ref.var.isupper():
+                return f"condition variable {ref.var!r} is not uppercase", "condition", len(cond_vars)
+            if ref.var in cond_vars:
+                return f"condition variable {ref.var!r} reused", "condition", len(cond_vars)
+            cond_vars.add(ref.var)
+
+    premises: set[str] = set()
+    for gi, g in enumerate(t.groups):
+        if not g.consequent.isupper():
+            return f"premise variable {g.consequent!r} is not uppercase", "premise", gi
+        if g.consequent in premises:
+            return f"premise variable {g.consequent!r} reused", "premise", gi
+        if g.consequent in cond_vars:
+            return f"variable {g.consequent!r} used as both condition and premise", "premise", gi
+        premises.add(g.consequent)
+
+    fact_vars: set[str] = set()
+    for fi, f in enumerate(t.facts):
+        if f.var not in cond_vars:
+            return f"unknown variable {f.var.lower()!r} in facts", "fact", fi
+        if f.var in fact_vars:
+            return f"duplicate fact {f.var.lower()!r}", "fact", fi
+        fact_vars.add(f.var)
+
+    if t.target_relation not in TARGET_RELATIONS:
+        return f"unknown label {t.target_relation!r}", "label", 0
+    matches = any(p.lower() == t.question_var for p in premises)
+    if t.target_relation == "irrelevant" and matches:
+        return f"label 'irrelevant' conflicts with question variable {t.question_var!r}", "question", 0
+    if t.target_relation != "irrelevant" and not matches:
+        return f"question variable {t.question_var!r} does not match any premise", "question", 0
+    return None
+
+
+def validate_template(t: Template) -> None:
     """Check template invariants, raising :class:`InvariantError`.
 
     Condition variables must be unique across the template and disjoint
-    from the premise variables; every fact must refer to a condition; the
-    question must match exactly one premise, or none when the target
-    relation is irrelevant.
+    from the premise variables; every fact must refer to a condition, once;
+    the question must match exactly one premise, or none when the target
+    relation is irrelevant. :func:`parse_template_dsl` applies the same
+    rules and reports a fault at its token.
     """
-    if not t.groups:
-        raise InvariantError("template has no groups")
-    if t.target_relation not in TARGET_RELATIONS:
-        raise InvariantError(f"unknown target relation {t.target_relation!r}")
-
-    cond_vars: list[str] = []
-    consequents: list[str] = []
-    for g in t.groups:
-        if g.logical_type not in (LogicalType.ALL, LogicalType.ANY):
-            raise InvariantError(f"template groups use all/any, got {g.logical_type.value!r}")
-        if not g.conditions:
-            raise InvariantError(f"group {g.consequent!r} has no conditions")
-        if not g.consequent.isupper():
-            raise InvariantError(f"premise variable {g.consequent!r} is not uppercase")
-        consequents.append(g.consequent)
-        for ref in g.conditions:
-            if not ref.var.isupper():
-                raise InvariantError(f"condition variable {ref.var!r} is not uppercase")
-            cond_vars.append(ref.var)
-
-    if len(set(cond_vars)) != len(cond_vars):
-        raise InvariantError("condition variables are reused across the template")
-    if len(set(consequents)) != len(consequents):
-        raise InvariantError("premise variables are reused across the template")
-    if set(cond_vars) & set(consequents):
-        raise InvariantError("a variable is used as both condition and premise")
-    if max_conditions is not None and len(cond_vars) > max_conditions:
-        raise InvariantError(f"template has {len(cond_vars)} conditions, cap is {max_conditions}")
-
-    fact_vars = [f.var for f in t.facts]
-    if len(set(fact_vars)) != len(fact_vars):
-        raise InvariantError("duplicate fact variables")
-    unknown = [v for v in fact_vars if v not in cond_vars]
-    if unknown:
-        raise InvariantError(f"facts refer to unknown condition variables: {unknown}")
-
-    matches = [g for g in t.groups if g.consequent.lower() == t.question_var]
-    if t.target_relation == "irrelevant":
-        if matches:
-            raise InvariantError(
-                "target relation 'irrelevant' requires a question matching no premise"
-            )
-    elif len(matches) != 1:
-        raise InvariantError(
-            f"question variable {t.question_var!r} must match exactly one premise"
-        )
+    fault = _first_fault(t)
+    if fault:
+        raise InvariantError(fault[0])
 
 
 def condition_ids(t: Template) -> dict[str, str]:
@@ -314,9 +325,11 @@ def parse_template_dsl(text: str) -> Template:
     """Parse template text into a :class:`Template`.
 
     Raises :class:`ParseError` with a line/column location on syntax
-    errors, unknown operators, and dangling variable references. When no
-    ``Label:`` line is present the target relation defaults to
-    ``entailed``, or ``irrelevant`` if the question matches no premise.
+    errors and unknown operators. Once the whole text has parsed, the
+    rules of :func:`validate_template` are checked and a fault is reported
+    at its token. When no ``Label:`` line is present the target relation
+    defaults to ``entailed``, or ``irrelevant`` if the question matches no
+    premise.
     """
     ts = _TokenStream(_tokenize(text))
 
@@ -332,34 +345,14 @@ def parse_template_dsl(text: str) -> Template:
         cond_tokens.extend(ctoks)
         cons_tokens.append(cons_tok)
 
-    seen: dict[str, _Token] = {}
-    for tok in cond_tokens:
-        if tok.value in seen:
-            raise ParseError(f"condition variable {tok.value!r} reused", tok.line, tok.col)
-        seen[tok.value] = tok
-    cond_vars = set(seen)
-    seen_cons: set[str] = set()
-    for tok in cons_tokens:
-        if tok.value in seen_cons:
-            raise ParseError(f"premise variable {tok.value!r} reused", tok.line, tok.col)
-        if tok.value in cond_vars:
-            raise ParseError(
-                f"variable {tok.value!r} used as both condition and premise", tok.line, tok.col
-            )
-        seen_cons.add(tok.value)
-
     ts.expect("Facts")
     ts.expect(":")
     facts: list[VarRef] = []
-    fact_vars: set[str] = set()
+    fact_tokens: list[_Token] = []
     while True:
         ref, tok = _parse_var_ref(ts, upper=False, what="fact variable")
-        if ref.var.upper() not in cond_vars:
-            raise ParseError(f"unknown variable {ref.var!r} in facts", tok.line, tok.col)
-        if ref.var in fact_vars:
-            raise ParseError(f"duplicate fact {ref.var!r}", tok.line, tok.col)
-        fact_vars.add(ref.var)
         facts.append(VarRef(ref.var.upper(), ref.negated))
+        fact_tokens.append(tok)
         if ts.peek() != ",":
             break
         ts.take()
@@ -372,14 +365,11 @@ def parse_template_dsl(text: str) -> Template:
     ts.expect("correct")
     ts.expect("?")
 
-    target: str | None = None
+    label_tok: _Token | None = None
     if ts.peek() == "Label":
         ts.take()
         ts.expect(":")
         label_tok = ts.take("label")
-        if label_tok.value not in TARGET_RELATIONS:
-            raise ParseError(f"unknown label {label_tok.value!r}", label_tok.line, label_tok.col)
-        target = label_tok.value
         if ts.peek() == ",":
             # ", if C1, C2" solver qualifier: accepted, not stored.
             ts.take()
@@ -392,23 +382,27 @@ def parse_template_dsl(text: str) -> Template:
         tok = ts.take()
         raise ParseError(f"unexpected trailing input {tok.value!r}", tok.line, tok.col)
 
-    question_matches = any(g.consequent.lower() == q_tok.value for g in groups)
-    if target is None:
-        target = "entailed" if question_matches else "irrelevant"
-    if target == "irrelevant" and question_matches:
-        raise ParseError(
-            f"label 'irrelevant' conflicts with question variable {q_tok.value!r}",
-            q_tok.line,
-            q_tok.col,
-        )
-    if target != "irrelevant" and not question_matches:
-        raise ParseError(
-            f"question variable {q_tok.value!r} does not match any premise",
-            q_tok.line,
-            q_tok.col,
-        )
+    if label_tok:
+        target = label_tok.value
+    elif any(g.consequent.lower() == q_tok.value for g in groups):
+        target = "entailed"
+    else:
+        target = "irrelevant"
+    template = Template(tuple(groups), tuple(facts), q_tok.value, target)
 
-    return Template(tuple(groups), tuple(facts), q_tok.value, target)
+    fault = _first_fault(template)
+    if fault:
+        message, site, index = fault
+        sites = {
+            "condition": cond_tokens,
+            "premise": cons_tokens,
+            "fact": fact_tokens,
+            "question": [q_tok],
+            "label": [label_tok],
+        }
+        tok = sites[site][index]
+        raise ParseError(message, tok.line, tok.col)
+    return template
 
 
 def _ref_text(ref: VarRef, lower: bool = False) -> str:

@@ -151,6 +151,22 @@ def test_generate_bad_config_exits_one(capsys, bank_path, tmp_path):
     assert "max_conditions" in err
 
 
+def test_generate_negative_train_exits_one_before_writing(capsys, bank_path, tmp_path):
+    out_dir = tmp_path / "data"
+    out_dir.mkdir()
+    code, _, err = run(
+        capsys,
+        "generate",
+        "--bank", str(bank_path),
+        "--out", str(out_dir),
+        "--seed", "1",
+        "--train", "-1",
+    )
+    assert code == 1
+    assert "error: --train cannot be negative" in err
+    assert list(out_dir.iterdir()) == []
+
+
 # --- parse-context ---------------------------------------------------------------
 
 def test_parse_context(tmp_path, capsys):
@@ -175,11 +191,11 @@ def test_parse_context(tmp_path, capsys):
     assert li_group["result"] == "You must apply in person. | Eligibility"
 
 
-def test_parse_context_empty_input_exits_two(tmp_path, capsys):
+def test_parse_context_empty_input_exits_one(tmp_path, capsys):
     infile = tmp_path / "empty.jsonl"
     infile.write_text('{"tag": "p", "text": "  "}\n', encoding="utf-8")
     code, _, err = run(capsys, "parse-context", "--in", str(infile), "--out", str(tmp_path / "o"))
-    assert code == 2
+    assert code == 1
     assert "no usable elements" in err
 
 

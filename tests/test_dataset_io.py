@@ -85,7 +85,8 @@ def test_manifest_count_mismatch_warns(tmp_path, examples, caplog):
     exs, config = examples
     path = tmp_path / "dev.jsonl"
     write_split(exs[:3], path, SplitManifest("dev", 0, config.seed, "h"))
-    sidecar = json.loads(open(manifest_path(path), encoding="utf-8").read())
+    with open(manifest_path(path), encoding="utf-8") as handle:
+        sidecar = json.load(handle)
     sidecar["count"] = 5
     with open(manifest_path(path), "w", encoding="utf-8") as handle:
         json.dump(sidecar, handle)

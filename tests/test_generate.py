@@ -129,7 +129,8 @@ def test_templates_distinct_valid_and_capped():
     assert len(rendered) == 40
     for i, t in enumerate(templates):
         assert t.template_id == f"T{i:03d}"
-        validate_template(t, max_conditions=config.max_conditions)
+        validate_template(t)
+        assert t.n_conditions <= config.max_conditions
         assert 1 <= len(t.groups) <= 1 + config.distractor_range[1]
 
 

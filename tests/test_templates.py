@@ -86,6 +86,49 @@ def test_parse_errors(text, fragment):
     assert fragment in str(excinfo.value)
 
 
+_Q = "Question: Is u correct?"
+
+
+@pytest.mark.parametrize(
+    "text,line,col,message",
+    [
+        ("If all (A, B, A), then U.\nFacts: a.\n" + _Q, 1, 15, "condition variable 'A' reused"),
+        (
+            "If all (A), then U.\nIf any (B), then U.\nFacts: a.\n" + _Q,
+            2,
+            18,
+            "premise variable 'U' reused",
+        ),
+        (
+            "If all (A), then A.\nFacts: a.\nQuestion: Is a correct?",
+            1,
+            18,
+            "variable 'A' used as both condition and premise",
+        ),
+        ("If all (A), then U.\nFacts: a, x.\n" + _Q, 2, 11, "unknown variable 'x' in facts"),
+        ("If all (A), then U.\nFacts: a, not a.\n" + _Q, 2, 15, "duplicate fact 'a'"),
+        (
+            "If all (A), then U.\nFacts: a.\n" + _Q + "\nLabel: irrelevant",
+            3,
+            14,
+            "label 'irrelevant' conflicts with question variable 'u'",
+        ),
+        (
+            "If all (A), then U.\nFacts: a.\nQuestion: Is w correct?\nLabel: entailed",
+            3,
+            14,
+            "question variable 'w' does not match any premise",
+        ),
+        ("If all (A), then U.\nFacts: a.\n" + _Q + "\nLabel: maybe", 4, 8, "unknown label 'maybe'"),
+    ],
+)
+def test_rule_fault_reported_at_token(text, line, col, message):
+    with pytest.raises(ParseError) as excinfo:
+        parse_template_dsl(text)
+    assert str(excinfo.value) == f"line {line}, column {col}: {message}"
+    assert (excinfo.value.line, excinfo.value.col) == (line, col)
+
+
 def test_parse_error_location():
     with pytest.raises(ParseError) as excinfo:
         parse_template_dsl("If both (A), then U.\nFacts: a.\nQuestion: Is u correct?")
@@ -185,13 +228,6 @@ def test_validate_template_rejects(template):
         validate_template(template)
 
 
-def test_validate_template_condition_cap():
-    t = parse_template_dsl(REFERENCE_TEMPLATE)
-    validate_template(t, max_conditions=4)
-    with pytest.raises(InvariantError):
-        validate_template(t, max_conditions=3)
-
-
 # --- structural round-trip property ----------------------------------------
 
 _CONDITION_VARS = tuple("ABCDEFGHIJKLMNOPQRST")
@@ -240,3 +276,64 @@ def test_verdict_coupled_to_group_status(t):
     else:
         status, _ = evaluate_group(groups[relevant])
         assert bool(verdict.unsatisfied) == (status is GroupStatus.UNDETERMINED)
+
+
+_FAULTS = (
+    None,
+    "reused condition",
+    "reused premise",
+    "premise is a condition",
+    "fact without condition",
+    "duplicate fact",
+    "question matches no premise",
+    "irrelevant with matching question",
+)
+
+
+@st.composite
+def templates_with_one_fault(draw):
+    t = draw(templates())
+    fault = draw(st.sampled_from(_FAULTS))
+    groups = list(t.groups)
+    facts = list(t.facts)
+    question, target = t.question_var, t.target_relation
+    used = [r.var for g in groups for r in g.conditions]
+    fresh = next(v for v in _CONDITION_VARS if v not in used)
+    if fault == "reused condition":
+        gi = draw(st.integers(0, len(groups) - 1))
+        ref = VarRef(draw(st.sampled_from(used)), draw(st.booleans()))
+        g = groups[gi]
+        groups[gi] = TemplateGroup(g.logical_type, g.conditions + (ref,), g.consequent)
+    elif fault == "reused premise":
+        premise = draw(st.sampled_from([g.consequent for g in groups]))
+        groups.append(TemplateGroup(LogicalType.ALL, (VarRef(fresh),), premise))
+    elif fault == "premise is a condition":
+        groups.append(TemplateGroup(LogicalType.ANY, (VarRef(fresh),), draw(st.sampled_from(used))))
+    elif fault == "fact without condition":
+        facts.append(VarRef(fresh, draw(st.booleans())))
+    elif fault == "duplicate fact":
+        facts.append(VarRef(draw(st.sampled_from(facts)).var, draw(st.booleans())))
+    elif fault == "question matches no premise":
+        question = _CONSEQUENTS[-1].lower()
+        target = draw(st.sampled_from(("entailed", "contradicted", "neutral")))
+    elif fault == "irrelevant with matching question":
+        question = draw(st.sampled_from(groups)).consequent.lower()
+        target = "irrelevant"
+    return Template(tuple(groups), tuple(facts), question, target), fault
+
+
+@given(templates_with_one_fault())
+def test_parser_and_validator_share_rules(case):
+    t, fault = case
+    try:
+        validate_template(t)
+        expected = None
+    except InvariantError as exc:
+        expected = str(exc)
+    try:
+        parse_template_dsl(render_template_dsl(t))
+        got = None
+    except ParseError as exc:
+        got = str(exc).split(": ", 1)[1]
+    assert (expected is None) == (fault is None)
+    assert got == expected
