@@ -22,27 +22,26 @@ from condlogic import (
     write_split,
 )
 
-work = Path(tempfile.mkdtemp(prefix="condlogic-demo-"))
-
 # A real run would point at an MNLI-style JSONL file. Fabricated
 # sentences keep the demo self-contained; the label drives which slot a
-# record may fill.
-bank_path = work / "bank.jsonl"
-labels = ("entailment", "contradiction", "neutral")
-with open(bank_path, "w", encoding="utf-8") as handle:
-    for i in range(300):
-        label = labels[i % 3]
-        handle.write(
-            json.dumps(
-                {
-                    "premise": f"Person {i} filed form {i % 7} before the deadline.",
-                    "hypothesis": f"Form {i % 7} from person {i} is {label}-related.",
-                    "label": label,
-                }
+# record may fill. The bank is held in memory once loaded.
+with tempfile.TemporaryDirectory(prefix="condlogic-demo-") as work:
+    bank_path = Path(work) / "bank.jsonl"
+    labels = ("entailment", "contradiction", "neutral")
+    with open(bank_path, "w", encoding="utf-8") as handle:
+        for i in range(300):
+            label = labels[i % 3]
+            handle.write(
+                json.dumps(
+                    {
+                        "premise": f"Person {i} filed form {i % 7} before the deadline.",
+                        "hypothesis": f"Form {i % 7} from person {i} is {label}-related.",
+                        "label": label,
+                    }
+                )
+                + "\n"
             )
-            + "\n"
-        )
-bank = load_nli_bank(bank_path)
+    bank = load_nli_bank(bank_path)
 print(f"bank: {len(bank)} records {bank.counts}\n")
 
 config = GenConfig(seed=7, n_templates=6, n_dev=10, n_test=0)
@@ -70,9 +69,10 @@ print()
 histogram = Counter(e.gold.label for e in dev)
 print(f"label histogram over {len(dev)} examples: {dict(histogram)}\n")
 
-split_path = work / "dev.jsonl"
-manifest = write_split(
-    dev, split_path, SplitManifest("dev", 0, config.seed, config_hash(config))
-)
-print(f"wrote {manifest.count} records to {split_path}")
-print(f"manifest: {manifest.to_dict()}")
+with tempfile.TemporaryDirectory(prefix="condlogic-demo-") as work:
+    split_path = Path(work) / "dev.jsonl"
+    manifest = write_split(
+        dev, split_path, SplitManifest("dev", 0, config.seed, config_hash(config))
+    )
+    print(f"wrote {manifest.count} records to {split_path}")
+    print(f"manifest: {manifest.to_dict()}")

@@ -52,9 +52,6 @@ print(f"  BLEU-1('a b c d', 'a b c e') = {bleu('a b c d', 'a b c e', 1):.2f}")
 print(f"  BLEU-4 of identical questions = {bleu('do you live there now', 'do you live there now', 4):.2f}\n")
 
 print("=== file-level evaluation ===\n")
-work = Path(tempfile.mkdtemp(prefix="condlogic-demo-"))
-gold_path = work / "gold.jsonl"
-pred_path = work / "pred.jsonl"
 gold_rows = [
     {"id": "e0", "answers": ["up to 1200"], "unsatisfied": ["C1"]},
     {"id": "e1", "answers": ["no"], "unsatisfied": []},
@@ -65,8 +62,10 @@ pred_rows = [
     {"id": "e1", "answer": "no", "conditions": ["C4"]},
     {"id": "e2", "answer": "march", "conditions": ["C0"]},
 ]
-gold_path.write_text("\n".join(json.dumps(r) for r in gold_rows) + "\n", encoding="utf-8")
-pred_path.write_text("\n".join(json.dumps(r) for r in pred_rows) + "\n", encoding="utf-8")
-
-report = evaluate_files(pred_path, gold_path, TaskProfile.YESNO)
+with tempfile.TemporaryDirectory(prefix="condlogic-demo-") as work:
+    gold_path = Path(work) / "gold.jsonl"
+    pred_path = Path(work) / "pred.jsonl"
+    gold_path.write_text("\n".join(json.dumps(r) for r in gold_rows) + "\n", encoding="utf-8")
+    pred_path.write_text("\n".join(json.dumps(r) for r in pred_rows) + "\n", encoding="utf-8")
+    report = evaluate_files(pred_path, gold_path, TaskProfile.YESNO)
 print(format_report(report, TaskProfile.YESNO))

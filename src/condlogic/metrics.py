@@ -121,9 +121,8 @@ class GoldRecord:
 
 def conditional_em_f1(pred: Prediction, gold: GoldRecord) -> tuple[float, float]:
     """EM and F1 scaled by the condition F1 of the same example."""
-    em, f1 = answer_em_f1(pred.answer_text, list(gold.references))
-    _, _, cond_f1 = condition_prf(pred.unsatisfied, gold.unsatisfied)
-    return em * cond_f1, f1 * cond_f1
+    row = score_example(pred, gold, with_bleu=False)
+    return row["conditional_em"], row["conditional_f1"]
 
 
 def label_accuracy(pred_labels: list[str], gold_labels: list[str]) -> tuple[float, float]:
@@ -184,7 +183,13 @@ def bleu(pred: str, ref: str, max_n: int = 4) -> float:
 
 @dataclass(frozen=True)
 class EvalReport:
-    """Aggregated scores; fields that the inputs cannot support are None."""
+    """Aggregated scores.
+
+    Fields that the inputs cannot support are None. ``bleu1``/``bleu4``
+    are also None when BLEU was not computed: ``evaluate_files`` scores
+    it only for a profile that reports it or when it writes per-example
+    rows.
+    """
 
     em: float
     f1: float
@@ -277,8 +282,12 @@ def _predicted_label(pred: Prediction) -> str:
     return pred.label if pred.label is not None else pred.answer_text
 
 
-def score_example(pred: Prediction | None, gold: GoldRecord) -> dict:
-    """Per-example scores; a missing prediction scores as empty."""
+def score_example(pred: Prediction | None, gold: GoldRecord, *, with_bleu: bool = True) -> dict:
+    """Per-example scores; a missing prediction scores as empty.
+
+    ``with_bleu=False`` leaves ``bleu1``/``bleu4`` None even when the
+    gold record has a question.
+    """
     if pred is None:
         pred = Prediction(example_id=gold.example_id)
     em, f1 = answer_em_f1(pred.answer_text, list(gold.references))
@@ -298,7 +307,7 @@ def score_example(pred: Prediction | None, gold: GoldRecord) -> dict:
     }
     if gold.label is not None:
         row["label_correct"] = int(_predicted_label(pred) == gold.label)
-    if gold.question is not None:
+    if with_bleu and gold.question is not None:
         pred_question = pred.question or ""
         row["bleu1"] = bleu(pred_question, gold.question, 1)
         row["bleu4"] = bleu(pred_question, gold.question, 4)
@@ -317,7 +326,9 @@ def evaluate_files(pred_path, gold_path, profile: TaskProfile, per_example_path=
 
     Gold records without a prediction score zero (empty prediction);
     predictions without a gold record are counted and ignored. Writes
-    per-example rows to ``per_example_path`` when given.
+    per-example rows to ``per_example_path`` when given. BLEU is computed
+    only when the profile's report prints it or rows are written, so the
+    rows are the same under every profile.
     """
     golds = read_gold_file(gold_path)
     if not golds:
@@ -330,7 +341,8 @@ def evaluate_files(pred_path, gold_path, profile: TaskProfile, per_example_path=
         logger.warning("%d prediction(s) match no gold example", len(unmatched))
     missing = sum(1 for g in golds if g.example_id not in predictions)
 
-    rows = [score_example(predictions.get(g.example_id), g) for g in golds]
+    with_bleu = "bleu" in _PROFILE_ROWS[profile] or per_example_path is not None
+    rows = [score_example(predictions.get(g.example_id), g, with_bleu=with_bleu) for g in golds]
 
     labelled = [g for g in golds if g.label is not None]
     micro = macro = None

@@ -1,9 +1,13 @@
+import dataclasses
+import hashlib
 import json
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
 
+import condlogic.metrics as metrics_module
 from condlogic import (
     GoldRecord,
     InvariantError,
@@ -291,6 +295,43 @@ def test_labels_and_questions_scored(tmp_path):
     assert report.bleu4 == pytest.approx(1.0)
 
 
+QUESTION_GOLD_ROWS = [
+    {"id": "q0", "answers": ["up to 1200"], "unsatisfied": ["C1"], "label": "yes",
+     "question": "do you live there"},
+    {"id": "q1", "answers": ["no"], "label": "no", "question": "are you enrolled now"},
+    {"id": "q2", "answers": ["in march"], "unsatisfied": ["C0", "C2"], "label": "yes"},
+]
+QUESTION_PRED_ROWS = [
+    {"id": "q0", "answer": "up to 1200", "conditions": ["C1"], "label": "yes",
+     "question": "do you live here"},
+    {"id": "q1", "answer": "yes", "label": "yes", "question": "are you enrolled"},
+    {"id": "q2", "answer": "march", "conditions": ["C0"], "label": "yes"},
+]
+
+
+def test_bleu_runs_only_when_reported(tmp_path):
+    gold = write_jsonl(tmp_path / "gold.jsonl", QUESTION_GOLD_ROWS)
+    pred = write_jsonl(tmp_path / "pred.jsonl", QUESTION_PRED_ROWS)
+    with_question = sum(1 for row in QUESTION_GOLD_ROWS if "question" in row)
+
+    def run(profile, per_example_path=None):
+        with mock.patch.object(metrics_module, "bleu", wraps=bleu) as spy:
+            report = evaluate_files(pred, gold, profile, per_example_path=per_example_path)
+        return report, spy.call_count
+
+    scored, calls = run(TaskProfile.SHARC)
+    assert calls == 2 * with_question
+    assert scored.bleu1 is not None and scored.bleu4 is not None
+    for profile in TaskProfile:
+        report, calls = run(profile, tmp_path / f"{profile.value}-rows.jsonl")
+        assert calls == 2 * with_question
+        assert report == scored
+    for profile in (TaskProfile.CONDNLI, TaskProfile.YESNO):
+        report, calls = run(profile)
+        assert calls == 0
+        assert report == dataclasses.replace(scored, bleu1=None, bleu4=None)
+
+
 def test_per_example_rows_written(tmp_path):
     gold = write_jsonl(tmp_path / "gold.jsonl", GOLD_ROWS)
     out = tmp_path / "rows.jsonl"
@@ -319,3 +360,78 @@ def test_format_report_profiles(tmp_path):
     assert "accuracy" not in yesno and "BLEU" not in yesno
     sharc = format_report(report, TaskProfile.SHARC)
     assert "question BLEU1/BLEU4" in sharc and "answer EM / F1" not in sharc
+
+
+# --- golden digests of the evaluate command -----------------------------------
+
+EVALUATE_REPORT_DIGESTS = {
+    "condnli": "00e335f5bb6bd7f724c8ff0f70f822f804fa8945d5c31ecbbdf7797a8928b258",
+    "conditionalqa": "8e8cfcfbc151873ac1a691f19a4e7bff6b8c133385e293d57c3800cf29767436",
+    "sharc": "d93f13ecc6deb514c1cc31db9a02b2735387fc53f6c920ac213f4e714d65014e",
+}
+EVALUATE_ROWS_DIGESTS = {
+    "condnli": "99dc56f8765bcc3c8c8ff76cbe0f360c5c391d2743f7fc971a306013d0b4fd51",
+    "sharc": "99dc56f8765bcc3c8c8ff76cbe0f360c5c391d2743f7fc971a306013d0b4fd51",
+}
+
+
+def _perturbed_predictions(gold_path, pred_path):
+    """Predictions derived from a generated split by fixed index rules.
+
+    Every 13th example has no prediction, one prediction names an unknown
+    id, and the rest get swapped labels, edited condition sets and
+    shortened, reworded or missing questions at fixed strides.
+    """
+    labels = sorted(TaskProfile.CONDNLI.labels)
+    rows = []
+    with open(gold_path, encoding="utf-8") as handle:
+        golds = [json.loads(line) for line in handle]
+    for index, gold in enumerate(golds):
+        if index % 13 == 5:
+            continue
+        label = gold["answer_label"]
+        if index % 7 == 3:
+            label = labels[(labels.index(label) + 1) % len(labels)]
+        conditions = sorted(gold["unsatisfied"])
+        if index % 5 == 1:
+            conditions = conditions[1:]
+        elif index % 5 == 2:
+            conditions = sorted({*conditions, f"C{index % 4}"})
+        row = {"id": str(index), "answer_label": label, "unsatisfied": conditions}
+        if index % 11 != 4:
+            tokens = gold["question"].split()
+            if index % 3 == 1:
+                tokens = tokens[:-1]
+            elif index % 3 == 2:
+                tokens[1] = "perhaps"
+            row["question"] = " ".join(tokens)
+        rows.append(row)
+    rows.append({"id": "no-such-example", "answer_label": "entailed"})
+    write_jsonl(pred_path, rows)
+
+
+def test_evaluate_golden_digests(tmp_path, bank_path, capsys):
+    from condlogic import cli
+
+    out_dir = tmp_path / "data"
+    assert cli.main(["generate", "--bank", str(bank_path), "--out", str(out_dir), "--seed", "7",
+                     "--templates", "10", "--dev", "300", "--test", "0"]) == 0
+    gold = out_dir / "dev.jsonl"
+    pred = tmp_path / "pred.jsonl"
+    _perturbed_predictions(gold, pred)
+    capsys.readouterr()
+
+    def digest(data: bytes) -> str:
+        return hashlib.sha256(data).hexdigest()
+
+    reports, rows = {}, {}
+    for profile in EVALUATE_REPORT_DIGESTS:
+        argv = ["evaluate", "--pred", str(pred), "--gold", str(gold), "--profile", profile]
+        if profile in EVALUATE_ROWS_DIGESTS:
+            argv += ["--per-example", str(tmp_path / f"{profile}-rows.jsonl")]
+        assert cli.main(argv) == 0
+        reports[profile] = digest(capsys.readouterr().out.encode("utf-8"))
+    for profile in EVALUATE_ROWS_DIGESTS:
+        rows[profile] = digest((tmp_path / f"{profile}-rows.jsonl").read_bytes())
+    assert reports == EVALUATE_REPORT_DIGESTS
+    assert rows == EVALUATE_ROWS_DIGESTS
