@@ -139,8 +139,11 @@ def cmd_solve(args) -> int:
     def solve_record(record: dict):
         if not isinstance(record.get("dsl"), str):
             raise InvariantError("expected an object with a string 'dsl' field")
+        template_id = record.get("template_id")
+        if template_id is not None and not isinstance(template_id, str):
+            raise InvariantError(f"template_id is not a string: {template_id!r}")
         template = parse_template_dsl(record["dsl"])
-        return record.get("template_id"), solve_template(template), condition_ids(template)
+        return template_id, solve_template(template), condition_ids(template)
 
     if stripped.startswith("{"):
         # A templates.jsonl file: one {template_id, dsl} record per line.

@@ -3,9 +3,9 @@
 Templates are sampled symbolically (see :mod:`condlogic.templates`) and
 instantiated with premise/hypothesis pairs drawn from a bank of NLI
 records: a condition takes a record's premise, its fact takes the
-hypothesis, and the record's label must agree with the relation the slot
-asks for. A fact slot ``a`` samples an entailment-labeled record, ``not
-a`` a contradiction-labeled one; conditions without facts and distractor
+hypothesis, and the record's label is the one that gives the condition
+the evidence the solver resolved (entailment for fact ``a``,
+contradiction for ``not a``); conditions without facts and distractor
 premises use any record's premise. The asked premise/question pair is
 drawn from the bucket matching the template's target relation.
 
@@ -26,7 +26,7 @@ from typing import Iterator
 
 from .errors import BankError, GenerationError, InvariantError
 from .jsonl import JsonlReader
-from .logic import Condition, ConditionGroup, LogicalType, Verdict
+from .logic import Condition, ConditionGroup, EvidenceState, FactRelation, LogicalType, Verdict, resolve_state
 from .templates import (
     TARGET_RELATIONS,
     Template,
@@ -35,6 +35,7 @@ from .templates import (
     condition_ids,
     render_template_dsl,
     solve_template,
+    template_groups,
 )
 
 NLI_LABELS = ("entailment", "contradiction", "neutral")
@@ -282,56 +283,33 @@ class Example:
 
 
 @dataclass(frozen=True)
-class GroupPlan:
-    """One template group, ready to fill: ids, type and sampling buckets."""
-
-    result_id: str
-    logical_type: LogicalType
-    #: NLI bucket of the asked premise/question pair; ``None`` unless the
-    #: question asks about this group.
-    question_bucket: str | None
-    #: ``(condition id, negated, fact bucket or None)`` per condition slot.
-    slots: tuple[tuple[str, bool, str | None], ...]
-
-
-@dataclass(frozen=True)
 class TemplatePlan:
-    """A validated, solved template: everything an example shares with the
-    other examples of its template. Build one with :func:`compile_template`."""
+    """A validated, solved template: the groups :func:`template_groups`
+    resolved, with condition ids mapped to ``Ck``, and the solver's verdict.
+    Build one with :func:`compile_template`."""
 
     template_id: str
-    condition_ids: dict[str, str]
     gold: Verdict
-    groups: tuple[GroupPlan, ...]
+    groups: tuple[ConditionGroup, ...]
+    #: Index of the group the question asks about; ``None`` for irrelevant.
+    relevant: int | None
     #: Condition ids of the facts, in the template's fact order.
     fact_ids: tuple[str, ...]
 
 
 def compile_template(template: Template) -> TemplatePlan:
-    """Validate and solve a template once, mapping its verdict to ``Ck`` ids."""
+    """Validate and solve a template once, mapping its groups and verdict to ``Ck`` ids."""
     symbolic = solve_template(template)
     ids = condition_ids(template)
-    fact_bucket = {
-        f.var: "contradiction" if f.negated else "entailment" for f in template.facts
-    }
-    groups = tuple(
-        GroupPlan(
-            result_id=f"R{gi}",
-            logical_type=LogicalType.REQUIRED if len(g.conditions) == 1 else g.logical_type,
-            question_bucket=(
-                _NLI_FOR_RELATION[template.target_relation]
-                if g.consequent.lower() == template.question_var
-                else None
-            ),
-            slots=tuple((ids[ref.var], ref.negated, fact_bucket.get(ref.var)) for ref in g.conditions),
-        )
-        for gi, g in enumerate(template.groups)
-    )
+    groups, relevant = template_groups(template)
     return TemplatePlan(
         template_id=template.template_id,
-        condition_ids=ids,
         gold=Verdict(symbolic.label, frozenset(ids[v] for v in symbolic.unsatisfied)),
-        groups=groups,
+        groups=tuple(
+            replace(g, conditions=tuple(replace(c, id=ids[c.id]) for c in g.conditions))
+            for g in groups
+        ),
+        relevant=relevant,
         fact_ids=tuple(ids[f.var] for f in template.facts),
     )
 
@@ -343,10 +321,10 @@ def instantiate(
 
     Deterministic in ``(seed, template.template_id, example_index)``.
     Condition texts carry their document-order id as a ``Ck:`` prefix;
-    negated condition slots prefix the premise with ``not``. Negated
-    facts are realized by sampling a contradiction-labeled record, so the
-    hypothesis text itself is used verbatim. A bare :class:`Template` is
-    compiled on the spot; pass a :class:`TemplatePlan` to reuse one.
+    negated condition slots prefix the premise with ``not``. A fact record's
+    label is the one that gives its condition the evidence the solver
+    resolved; its hypothesis text is used verbatim. A bare :class:`Template`
+    is compiled on the spot; pass a :class:`TemplatePlan` to reuse one.
     """
     plan = template if isinstance(template, TemplatePlan) else compile_template(template)
     example_seed = _derive_seed(seed, plan.template_id, example_index)
@@ -355,26 +333,27 @@ def instantiate(
     fact_text: dict[str, str] = {}
     question: str | None = None
     groups: list[ConditionGroup] = []
-    for g in plan.groups:
-        if g.question_bucket is not None:
-            record = bank.sample(g.question_bucket, rng)
+    for gi, g in enumerate(plan.groups):
+        if gi == plan.relevant:
+            record = bank.sample(_NLI_FOR_RELATION[g.intrinsic_relation], rng)
             question = record.hypothesis
         else:
             record = bank.sample_any(rng)
         conditions = []
-        for cid, negated, bucket in g.slots:
-            if bucket is not None:
-                cond_record = bank.sample(bucket, rng)
-                fact_text[cid] = cond_record.hypothesis
-            else:
+        for c in g.conditions:
+            if c.evidence is EvidenceState.NOT_MENTIONED:
                 cond_record = bank.sample_any(rng)
-            text = f"not {cond_record.premise}" if negated else cond_record.premise
-            conditions.append(Condition(id=cid, text=f"{cid}: {text}"))
+            else:
+                supported = resolve_state(c.negated, FactRelation.SUPPORTS) is c.evidence
+                cond_record = bank.sample("entailment" if supported else "contradiction", rng)
+                fact_text[c.id] = cond_record.hypothesis
+            text = f"not {cond_record.premise}" if c.negated else cond_record.premise
+            conditions.append(Condition(id=c.id, text=f"{c.id}: {text}"))
         groups.append(
             ConditionGroup(
-                result_id=g.result_id,
+                result_id=f"R{gi}",
                 result_text=record.premise,
-                logical_type=g.logical_type,
+                logical_type=LogicalType.REQUIRED if len(conditions) == 1 else g.logical_type,
                 conditions=tuple(conditions),
             )
         )

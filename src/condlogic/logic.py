@@ -92,11 +92,6 @@ _PROFILE_LABELS = {
     TaskProfile.SHARC: frozenset({"yes", "no", "inquire", "irrelevant"}),
 }
 
-#: Valid values for a group's intrinsic relation (the NLI relation between
-#: the result statement and the question, once all conditions hold).
-INTRINSIC_RELATIONS = ("entailed", "contradicted", "neutral")
-
-
 @dataclass(frozen=True)
 class Condition:
     id: str

@@ -26,16 +26,13 @@ from .logic import TaskProfile
 logger = logging.getLogger(__name__)
 
 
+_PUNCTUATION = str.maketrans("", "", string.punctuation)
+_ARTICLES_RE = re.compile(r"\b(a|an|the)\b")
+
+
 def normalize_text(text: str) -> list[str]:
     """Lowercase, strip punctuation, drop articles, split on whitespace."""
-
-    def remove_articles(s):
-        return re.sub(r"\b(a|an|the)\b", " ", s)
-
-    def remove_punc(s):
-        return "".join(ch for ch in s if ch not in string.punctuation)
-
-    return remove_articles(remove_punc(text.lower())).split()
+    return _ARTICLES_RE.sub(" ", text.lower().translate(_PUNCTUATION)).split()
 
 
 def _token_f1(pred_tokens: list[str], ref_tokens: list[str]) -> float:

@@ -27,7 +27,8 @@ Grammar::
     question  := "Is" lower "correct?"
 
 The label line may carry a trailing ", if C1, C2" qualifier (as printed
-by the solver); it is accepted and ignored on input.
+by the solver, or with condition variables such as ", if B"); it is
+accepted and ignored on input.
 """
 
 from __future__ import annotations
@@ -219,7 +220,8 @@ def solve_template(t: Template) -> Verdict:
 
 # --- textual form ---------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"[A-Za-z]+|[(),.:?]")
+_TOKEN_RE = re.compile(r"[A-Za-z]+[0-9]*|[(),.:?]")
+_QUALIFIER_RE = re.compile(r"[A-Z]+|C[0-9]+")
 
 
 @dataclass(frozen=True)
@@ -374,10 +376,13 @@ def parse_template_dsl(text: str) -> Template:
             # ", if C1, C2" solver qualifier: accepted, not stored.
             ts.take()
             ts.expect("if")
-            _take_var(ts, upper=True, what="condition id")
-            while ts.peek() == ",":
+            while True:
+                tok = ts.take("condition id")
+                if not _QUALIFIER_RE.fullmatch(tok.value):
+                    raise ParseError(f"expected condition id, found {tok.value!r}", tok.line, tok.col)
+                if ts.peek() != ",":
+                    break
                 ts.take()
-                _take_var(ts, upper=True, what="condition id")
     if not ts.at_end():
         tok = ts.take()
         raise ParseError(f"unexpected trailing input {tok.value!r}", tok.line, tok.col)

@@ -334,8 +334,14 @@ def test_parse_context_skips_non_object_line(tmp_path, capsys, caplog):
             json.dumps({"template_id": "T001", "dsl": REFERENCE_TEMPLATE.replace("If all", "If both")}),
             "line 1, column 4: unknown operator 'both'",
         ),
+        (json.dumps({"template_id": 5, "dsl": REFERENCE_TEMPLATE}), "template_id is not a string: 5"),
+        (
+            json.dumps({"template_id": {"a": 1}, "dsl": REFERENCE_TEMPLATE}),
+            "template_id is not a string: {'a': 1}",
+        ),
     ],
-    ids=['{"dsl": 1}', "[1, 2]", '{"template_id": "T000"}', "dsl-parse-error"],
+    ids=['{"dsl": 1}', "[1, 2]", '{"template_id": "T000"}', "dsl-parse-error", "int-template-id",
+         "object-template-id"],
 )
 def test_solve_templates_jsonl_bad_record_exits_one(tmp_path, capsys, line, fragment):
     path = tmp_path / "templates.jsonl"

@@ -1,6 +1,10 @@
+import dataclasses
 import hashlib
 import itertools
 import json
+import os
+import subprocess
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -11,22 +15,27 @@ import condlogic.generate as generate_module
 
 from condlogic import (
     BankError,
+    FactRelation,
     GenConfig,
     GenerationError,
     InvariantError,
     LogicalType,
     NliBank,
     NliRecord,
+    TaskProfile,
     Verdict,
     condition_ids,
     config_hash,
+    derive_answer,
     generate_dataset,
     generate_templates,
     instantiate,
     load_nli_bank,
     parse_template_dsl,
     render_template_dsl,
+    resolve_state,
     solve_template,
+    template_groups,
     validate_template,
 )
 from condlogic.generate import _derive_seed
@@ -338,6 +347,29 @@ def test_generate_golden_digests(tmp_path, bank_path, capsys):
     assert digests == GOLDEN_DIGESTS
 
 
+_PYENV_VERSIONS = Path.home() / ".pyenv" / "versions"
+
+
+@pytest.mark.parametrize("minor", ["3.10", "3.11", "3.12", "3.13", "3.14"])
+def test_generate_same_bytes_on_every_python(tmp_path, bank_path, minor):
+    # The runtime needs only the stdlib, so any installed interpreter can run it.
+    pythons = sorted(_PYENV_VERSIONS.glob(f"{minor}.*/bin/python"))
+    if not pythons:
+        pytest.skip(f"no Python {minor} under {_PYENV_VERSIONS}")
+    out_dir = tmp_path / "data"
+    argv = [str(pythons[-1]), "-m", "condlogic.cli", "generate", "--bank", str(bank_path),
+            "--out", str(out_dir), "--seed", "7", "--templates", "10", "--dev", "300", "--test", "300"]
+    src = Path(__file__).resolve().parent.parent / "src"
+    result = subprocess.run(
+        argv, env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    digests = {
+        name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest() for name in GOLDEN_DIGESTS
+    }
+    assert digests == GOLDEN_DIGESTS
+
+
 def test_dataset_matches_bare_instantiate(bank):
     config = GenConfig(seed=5, n_templates=12, n_dev=60, n_test=0)
     by_id = {t.template_id: t for t in generate_templates(config)}
@@ -378,3 +410,33 @@ def test_plan_gold_matches_solver(big_bank, config):
         ]
         relevant_ids = {c.id for gi in relevant for c in ex.context[gi].conditions}
         assert ex.gold.unsatisfied <= relevant_ids
+
+
+_FACT_RELATION = {"entailment": FactRelation.SUPPORTS, "contradiction": FactRelation.CONTRADICTS}
+_INTRINSIC = {"entailment": "entailed", "contradiction": "contradicted", "neutral": "neutral"}
+
+
+@settings(max_examples=40, deadline=None)
+@given(config=_configs)
+def test_gold_follows_from_sampled_labels(big_bank, config):
+    # big_bank texts start with their NLI label, so an example reveals the
+    # evidence its records give each condition. The template supplies only
+    # which condition each fact is about and which group is asked.
+    by_id = {t.template_id: t for t in generate_templates(config)}
+    for ex in generate_dataset(config, big_bank, "dev"):
+        template = by_id[ex.template_id]
+        ids = condition_ids(template)
+        fact_of = {ids[f.var]: text for f, text in zip(template.facts, ex.facts)}
+        _, relevant = template_groups(template)
+        groups = []
+        for gi, g in enumerate(ex.context):
+            conditions = []
+            for c in g.conditions:
+                negated = c.text.startswith(f"{c.id}: not ")
+                fact = fact_of.get(c.id)
+                relation = _FACT_RELATION[fact.split()[0]] if fact is not None else None
+                evidence = resolve_state(negated, relation)
+                conditions.append(dataclasses.replace(c, negated=negated, evidence=evidence))
+            intrinsic = _INTRINSIC[ex.question.split()[0]] if gi == relevant else None
+            groups.append(dataclasses.replace(g, conditions=tuple(conditions), intrinsic_relation=intrinsic))
+        assert derive_answer(groups, relevant, TaskProfile.CONDNLI) == ex.gold

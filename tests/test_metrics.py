@@ -2,6 +2,8 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
+import string
 from unittest import mock
 
 import pytest
@@ -25,6 +27,28 @@ from condlogic import (
     read_prediction_file,
     score_example,
 )
+
+
+def _normalize_text_nested(text):
+    """``normalize_text`` as first written, with per-call helpers."""
+
+    def remove_articles(s):
+        return re.sub(r"\b(a|an|the)\b", " ", s)
+
+    def remove_punc(s):
+        return "".join(ch for ch in s if ch not in string.punctuation)
+
+    return remove_articles(remove_punc(text.lower())).split()
+
+
+_article_soup = st.lists(
+    st.sampled_from(["a", "An", "THE", "the.", "t,he", "ann", "'s", " ", "\t", "\u00e9", "!", "x"])
+).map("".join)
+
+
+@given(st.text() | _article_soup)
+def test_normalize_text_matches_nested_helpers(text):
+    assert normalize_text(text) == _normalize_text_nested(text)
 
 
 def test_normalize_text():

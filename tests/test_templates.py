@@ -55,6 +55,9 @@ def test_label_suffix_tolerated_not_stored():
     with_suffix = parse_template_dsl(REFERENCE_TEMPLATE)
     without = parse_template_dsl(REFERENCE_TEMPLATE.replace(", if B", ""))
     assert with_suffix == without
+    # The solver prints condition ids, not variables.
+    for suffix in (", if C1", ", if C1, C2"):
+        assert parse_template_dsl(REFERENCE_TEMPLATE.replace(", if B", suffix)) == without
 
 
 def test_single_condition_group_parses():
