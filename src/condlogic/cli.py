@@ -18,7 +18,7 @@ from collections import Counter
 from itertools import islice
 from pathlib import Path
 
-from .contexts import build_dom_tree, load_html_elements, parse_html_context
+from .contexts import _tree_groups, build_dom_tree, load_html_elements
 from .dataset_io import SplitManifest, _sorted_ids, group_to_dict, write_split
 from .errors import InvariantError, ToolkitError
 from .generate import (
@@ -31,7 +31,7 @@ from .generate import (
 from .jsonl import JsonlReader, undecodable, write_jsonl
 from .logic import LogicalType, TaskProfile, enumerate_assignments
 from .metrics import evaluate_files, format_report
-from .templates import condition_ids, parse_template_dsl, render_template_dsl, solve_template
+from .templates import _solve_valid, condition_ids, parse_template_dsl, render_template_dsl
 
 _PROFILES = {
     "condnli": TaskProfile.CONDNLI,
@@ -142,15 +142,16 @@ def cmd_solve(args) -> int:
         template_id = record.get("template_id")
         if template_id is not None and not isinstance(template_id, str):
             raise InvariantError(f"template_id is not a string: {template_id!r}")
+        # The parser has checked the template's rules.
         template = parse_template_dsl(record["dsl"])
-        return template_id, solve_template(template), condition_ids(template)
+        return template_id, _solve_valid(template), condition_ids(template)
 
     if stripped.startswith("{"):
         # A templates.jsonl file: one {template_id, dsl} record per line.
         results = list(JsonlReader(io.StringIO(text), source, solve_record, strict=True))
     else:
         template = parse_template_dsl(text)
-        results = [(None, solve_template(template), condition_ids(template))]
+        results = [(None, _solve_valid(template), condition_ids(template))]
 
     out_rows = []
     for template_id, verdict, ids in results:
@@ -169,14 +170,15 @@ def cmd_parse_context(args) -> int:
     elements = load_html_elements(args.infile)
     if not elements:
         raise ToolkitError(f"no usable elements in {args.infile}")
-    groups = parse_html_context(elements)
+    root = build_dom_tree(elements)
+    groups = _tree_groups(root)
     write_jsonl(args.out, (group_to_dict(group) for group in groups))
     print(f"{len(groups)} group(s), {sum(len(g.conditions) for g in groups)} condition(s)")
 
     if args.stats:
         sizes = Counter(len(g.conditions) for g in groups)
         depths: Counter = Counter()
-        stack = [(build_dom_tree(elements), 0)]
+        stack = [(root, 0)]
         while stack:
             node, depth = stack.pop()
             if not node.children and node.element is not None:

@@ -142,8 +142,11 @@ def parse_html_context(elements: list[HtmlElement]) -> list[ConditionGroup]:
     """
     if not elements:
         raise InvariantError("cannot parse an empty element stream")
-    root = build_dom_tree(elements)
+    return _tree_groups(build_dom_tree(elements))
 
+
+def _tree_groups(root: DomNode) -> list[ConditionGroup]:
+    """The condition groups of a tree built by :func:`build_dom_tree`."""
     collected: list[tuple[list[HtmlElement], str]] = []
     _walk_groups(root, [], collected)
     collected.sort(key=lambda pair: pair[0][0].index)

@@ -214,6 +214,11 @@ def solve_template(t: Template) -> Verdict:
     :func:`condition_ids` to map them to document-order ids.
     """
     validate_template(t)
+    return _solve_valid(t)
+
+
+def _solve_valid(t: Template) -> Verdict:
+    """Solve a template whose rules have already been checked."""
     groups, relevant = template_groups(t)
     return derive_answer(groups, relevant, TaskProfile.CONDNLI)
 
@@ -222,17 +227,16 @@ def solve_template(t: Template) -> Verdict:
 
 _TOKEN_RE = re.compile(r"[A-Za-z]+[0-9]*|[(),.:?]")
 _QUALIFIER_RE = re.compile(r"[A-Z]+|C[0-9]+")
+_OPERATORS = {"all": LogicalType.ALL, "any": LogicalType.ANY}
 
 
-@dataclass(frozen=True)
-class _Token:
-    value: str
-    line: int
-    col: int
+def _token_positions(text: str) -> list[tuple[int, int]]:
+    """Return the 1-based ``(line, column)`` of each token of ``text``.
 
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
+    Raises :class:`ParseError` at the first character that starts no
+    token. The parser needs positions only to report an error.
+    """
+    positions: list[tuple[int, int]] = []
     for line_no, line in enumerate(text.splitlines(), start=1):
         pos = 0
         while pos < len(line):
@@ -242,85 +246,68 @@ def _tokenize(text: str) -> list[_Token]:
             m = _TOKEN_RE.match(line, pos)
             if not m:
                 raise ParseError(f"unexpected character {line[pos]!r}", line_no, pos + 1)
-            tokens.append(_Token(m.group(), line_no, pos + 1))
+            positions.append((line_no, pos + 1))
             pos = m.end()
-    return tokens
+    return positions
 
 
-class _TokenStream:
-    def __init__(self, tokens: list[_Token]):
-        self._tokens = tokens
-        self._pos = 0
-
-    def peek(self) -> str | None:
-        if self._pos < len(self._tokens):
-            return self._tokens[self._pos].value
-        return None
-
-    def take(self, what: str = "token") -> _Token:
-        if self._pos >= len(self._tokens):
-            line, col = self._end_pos()
-            raise ParseError(f"unexpected end of input, expected {what}", line, col)
-        tok = self._tokens[self._pos]
-        self._pos += 1
-        return tok
-
-    def expect(self, value: str) -> _Token:
-        tok = self.take(repr(value))
-        if tok.value != value:
-            raise ParseError(f"expected {value!r}, found {tok.value!r}", tok.line, tok.col)
-        return tok
-
-    def at_end(self) -> bool:
-        return self._pos >= len(self._tokens)
-
-    def _end_pos(self) -> tuple[int, int]:
-        if self._tokens:
-            last = self._tokens[-1]
-            return last.line, last.col + len(last.value)
-        return 1, 1
+def _error(text: str, tokens: list[str], index: int, message: str) -> ParseError:
+    """A :class:`ParseError` at ``tokens[index]``, or just past the last token."""
+    positions = _token_positions(text)
+    if index < len(positions):
+        line, col = positions[index]
+    elif positions:
+        line, col = positions[-1]
+        col += len(tokens[len(positions) - 1])
+    else:
+        line, col = 1, 1
+    return ParseError(message, line, col)
 
 
-def _take_var(ts: _TokenStream, upper: bool, what: str) -> _Token:
-    tok = ts.take(what)
-    ok = tok.value.isalpha() and (tok.value.isupper() if upper else tok.value.islower())
-    if not ok:
-        raise ParseError(f"expected {what}, found {tok.value!r}", tok.line, tok.col)
-    return tok
+def _unexpected(text: str, tokens: list[str], index: int, what: str, lead: str = "") -> ParseError:
+    """The token at ``index`` is not ``what``; at the end sentinel, the input ended early."""
+    if index == len(tokens) - 1:
+        return _error(text, tokens, index, f"unexpected end of input, expected {what}")
+    lead = lead or f"expected {what}, found"
+    return _error(text, tokens, index, f"{lead} {tokens[index]!r}")
 
 
-def _parse_var_ref(ts: _TokenStream, upper: bool, what: str) -> tuple[VarRef, _Token]:
-    negated = False
-    if ts.peek() == "not":
-        ts.take()
-        negated = True
-    tok = _take_var(ts, upper, what)
-    return VarRef(tok.value, negated), tok
+def _expect(text: str, tokens: list[str], i: int, words: list[str]) -> int:
+    """Return the index past ``words``, which must be the tokens from ``i`` on."""
+    end = i + len(words)
+    if tokens[i:end] != words:
+        for i, word in enumerate(words, start=i):
+            if tokens[i] != word:
+                raise _unexpected(text, tokens, i, repr(word))
+    return end
 
 
-def _parse_stmt(ts: _TokenStream) -> tuple[TemplateGroup, list[_Token], _Token]:
-    ts.expect("If")
-    op_tok = ts.take("operator")
-    if op_tok.value not in ("all", "any"):
-        raise ParseError(f"unknown operator {op_tok.value!r}", op_tok.line, op_tok.col)
-    op = LogicalType.ALL if op_tok.value == "all" else LogicalType.ANY
-    ts.expect("(")
+def _var(text: str, tokens: list[str], i: int, upper: bool, what: str) -> str:
+    var = tokens[i]
+    if var.isalpha() and (var.isupper() if upper else var.islower()):
+        return var
+    raise _unexpected(text, tokens, i, what)
+
+
+def _var_list(
+    text: str, tokens: list[str], i: int, upper: bool, what: str
+) -> tuple[list[VarRef], list[int], int]:
+    """Parse ``["not"] var ("," ["not"] var)*`` from ``i``.
+
+    Returns the references (variables uppercased), the token index of
+    each variable, and the index past the list.
+    """
     refs: list[VarRef] = []
-    cond_tokens: list[_Token] = []
-    ref, tok = _parse_var_ref(ts, upper=True, what="condition variable")
-    refs.append(ref)
-    cond_tokens.append(tok)
-    while ts.peek() == ",":
-        ts.take()
-        ref, tok = _parse_var_ref(ts, upper=True, what="condition variable")
-        refs.append(ref)
-        cond_tokens.append(tok)
-    ts.expect(")")
-    ts.expect(",")
-    ts.expect("then")
-    cons_tok = _take_var(ts, upper=True, what="premise variable")
-    ts.expect(".")
-    return TemplateGroup(op, tuple(refs), cons_tok.value), cond_tokens, cons_tok
+    at: list[int] = []
+    while True:
+        negated = tokens[i] == "not"
+        if negated:
+            i += 1
+        refs.append(VarRef(_var(text, tokens, i, upper, what).upper(), negated))
+        at.append(i)
+        if tokens[i + 1] != ",":
+            return refs, at, i + 1
+        i += 2
 
 
 def parse_template_dsl(text: str) -> Template:
@@ -331,82 +318,83 @@ def parse_template_dsl(text: str) -> Template:
     rules of :func:`validate_template` are checked and a fault is reported
     at its token. When no ``Label:`` line is present the target relation
     defaults to ``entailed``, or ``irrelevant`` if the question matches no
-    premise.
+    premise. The text is scanned once without positions; the line and
+    column are worked out only when an error is raised.
     """
-    ts = _TokenStream(_tokenize(text))
+    tokens = _TOKEN_RE.findall(text)
+    # findall skips what no token matches; a skipped character shows as a
+    # shortfall against the text's non-whitespace length.
+    if sum(map(len, tokens)) != len("".join(text.split())):
+        _token_positions(text)  # raises at the first such character
+    end = len(tokens)
+    # The sentinel equals no expected token, so the parser stops on it and
+    # never indexes past it.
+    tokens.append("")
 
+    if tokens[0] != "If":
+        raise _unexpected(text, tokens, 0, "'If'")
+    i = 0
     groups: list[TemplateGroup] = []
-    cond_tokens: list[_Token] = []
-    cons_tokens: list[_Token] = []
-    if ts.peek() != "If":
-        tok = ts.take("'If'")
-        raise ParseError(f"expected 'If', found {tok.value!r}", tok.line, tok.col)
-    while ts.peek() == "If":
-        group, ctoks, cons_tok = _parse_stmt(ts)
-        groups.append(group)
-        cond_tokens.extend(ctoks)
-        cons_tokens.append(cons_tok)
+    cond_at: list[int] = []
+    premise_at: list[int] = []
+    while tokens[i] == "If":
+        op = tokens[i + 1]
+        if op not in _OPERATORS:
+            raise _unexpected(text, tokens, i + 1, "operator", "unknown operator")
+        i = _expect(text, tokens, i + 2, ["("])
+        refs, at, i = _var_list(text, tokens, i, True, "condition variable")
+        cond_at += at
+        i = _expect(text, tokens, i, [")", ",", "then"])
+        premise = _var(text, tokens, i, True, "premise variable")
+        premise_at.append(i)
+        i = _expect(text, tokens, i + 1, ["."])
+        groups.append(TemplateGroup(_OPERATORS[op], refs, premise))
 
-    ts.expect("Facts")
-    ts.expect(":")
-    facts: list[VarRef] = []
-    fact_tokens: list[_Token] = []
-    while True:
-        ref, tok = _parse_var_ref(ts, upper=False, what="fact variable")
-        facts.append(VarRef(ref.var.upper(), ref.negated))
-        fact_tokens.append(tok)
-        if ts.peek() != ",":
-            break
-        ts.take()
-    ts.expect(".")
+    i = _expect(text, tokens, i, ["Facts", ":"])
+    facts, fact_at, i = _var_list(text, tokens, i, False, "fact variable")
+    i = _expect(text, tokens, i, [".", "Question", ":", "Is"])
+    question = _var(text, tokens, i, False, "question variable")
+    question_at = i
+    i = _expect(text, tokens, i + 1, ["correct", "?"])
 
-    ts.expect("Question")
-    ts.expect(":")
-    ts.expect("Is")
-    q_tok = _take_var(ts, upper=False, what="question variable")
-    ts.expect("correct")
-    ts.expect("?")
-
-    label_tok: _Token | None = None
-    if ts.peek() == "Label":
-        ts.take()
-        ts.expect(":")
-        label_tok = ts.take("label")
-        if ts.peek() == ",":
+    label_at = -1
+    if tokens[i] == "Label":
+        label_at = i = _expect(text, tokens, i + 1, [":"])
+        if i == end:
+            raise _unexpected(text, tokens, i, "label")
+        i += 1
+        if tokens[i] == ",":
             # ", if C1, C2" solver qualifier: accepted, not stored.
-            ts.take()
-            ts.expect("if")
+            i = _expect(text, tokens, i + 1, ["if"])
             while True:
-                tok = ts.take("condition id")
-                if not _QUALIFIER_RE.fullmatch(tok.value):
-                    raise ParseError(f"expected condition id, found {tok.value!r}", tok.line, tok.col)
-                if ts.peek() != ",":
+                if not _QUALIFIER_RE.fullmatch(tokens[i]):
+                    raise _unexpected(text, tokens, i, "condition id")
+                i += 1
+                if tokens[i] != ",":
                     break
-                ts.take()
-    if not ts.at_end():
-        tok = ts.take()
-        raise ParseError(f"unexpected trailing input {tok.value!r}", tok.line, tok.col)
+                i += 1
+    if i != end:
+        raise _unexpected(text, tokens, i, "", "unexpected trailing input")
 
-    if label_tok:
-        target = label_tok.value
-    elif any(g.consequent.lower() == q_tok.value for g in groups):
+    if label_at >= 0:
+        target = tokens[label_at]
+    elif any(g.consequent.lower() == question for g in groups):
         target = "entailed"
     else:
         target = "irrelevant"
-    template = Template(tuple(groups), tuple(facts), q_tok.value, target)
+    template = Template(tuple(groups), tuple(facts), question, target)
 
     fault = _first_fault(template)
     if fault:
         message, site, index = fault
         sites = {
-            "condition": cond_tokens,
-            "premise": cons_tokens,
-            "fact": fact_tokens,
-            "question": [q_tok],
-            "label": [label_tok],
+            "condition": cond_at,
+            "premise": premise_at,
+            "fact": fact_at,
+            "question": [question_at],
+            "label": [label_at],
         }
-        tok = sites[site][index]
-        raise ParseError(message, tok.line, tok.col)
+        raise _error(text, tokens, sites[site][index], message)
     return template
 
 

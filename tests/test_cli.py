@@ -1,9 +1,17 @@
+import contextlib
+import hashlib
 import io
 import json
+import os
+import subprocess
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from condlogic import cli
+from condlogic import ParseError, cli, parse_template_dsl, templates
 from conftest import REFERENCE_TEMPLATE
 
 
@@ -56,6 +64,18 @@ def test_solve_templates_jsonl(tmp_path, capsys):
     ]
 
 
+def test_solve_checks_each_template_once(tmp_path, capsys):
+    path = tmp_path / "templates.jsonl"
+    dsl = "If all (A), then U.\nFacts: a.\nQuestion: Is u correct?"
+    records = [{"template_id": f"T00{i}", "dsl": dsl} for i in range(3)]
+    path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    with mock.patch.object(templates, "_first_fault", wraps=templates._first_fault) as first_fault:
+        code, out, _ = run(capsys, "solve", "--file", str(path))
+    assert code == 0
+    assert out.splitlines() == ["T000: entailed", "T001: entailed", "T002: entailed"]
+    assert first_fault.call_count == 3
+
+
 def test_solve_assignments_table(capsys):
     code, out, _ = run(capsys, "solve", "--assignments", "any:1")
     assert code == 0
@@ -91,6 +111,128 @@ def test_solve_bad_assignment_spec(capsys):
     code, _, err = run(capsys, "solve", "--assignments", "xor:3")
     assert code == 1
     assert "bad assignment spec" in err
+
+
+def _main(argv, stdin=""):
+    """Run the CLI in process; return its exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            mock.patch("sys.stdin", io.StringIO(stdin)):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _parse_error(text):
+    try:
+        parse_template_dsl(text)
+    except ParseError as exc:
+        return exc
+    return None
+
+
+_DSL_PIECES = ["If", "all", "any", "not", "then", "Facts", "Question", "Is", "correct", "Label",
+               "entailed", "if", "A", "B", "U", "a", "u", "A1", "1", "C12", "(", ")", ",", ".", ":",
+               "?", " ", "\n", "\r\n", "\x0c", "\x1c", "\u2028", "\t", "\u00e9", "{", "}", '"']
+_mutated_reference = st.tuples(
+    st.integers(0, len(REFERENCE_TEMPLATE)), st.integers(0, 6), st.sampled_from(_DSL_PIECES)
+).map(lambda m: REFERENCE_TEMPLATE[: m[0]] + m[2] + REFERENCE_TEMPLATE[m[0] + m[1]:])
+_dsl_texts = st.one_of(
+    _mutated_reference, st.lists(st.sampled_from(_DSL_PIECES), max_size=40).map(" ".join), st.text()
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_dsl_texts)
+def test_solve_fuzz_stdin(text):
+    code, out, err = _main(["solve", "--stdin"], stdin=text)
+    assert code in (0, 1)
+    assert "Traceback" not in err
+    stripped = text.lstrip()
+    if stripped and not stripped.startswith("{"):
+        exc = _parse_error(text)
+        assert code == (1 if exc else 0)
+        if exc:
+            assert err == f"error: {exc}\n"
+
+
+# Lines that are not a usable templates.jsonl record.
+_bad_lines = st.one_of(
+    st.sampled_from(["[1, 2]", "{", "1", '"x"', "{}", '{"dsl": 1}', '{"template_id": 5, "dsl": "If"}']),
+    st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\r\n")).filter(str.strip),
+)
+_records = st.one_of(
+    _dsl_texts.map(lambda dsl: ("dsl", dsl)),
+    _bad_lines.map(lambda line: ("bad", line)),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_records, max_size=5))
+def test_solve_fuzz_templates_jsonl(records):
+    lines = [json.dumps({"template_id": "T000", "dsl": REFERENCE_TEMPLATE})]
+    expected = None  # (line number, exact error or None) of the first bad record
+    for line_no, (kind, value) in enumerate(records, start=2):
+        if kind == "dsl":
+            lines.append(json.dumps({"template_id": f"T{line_no:03d}", "dsl": value}))
+            exc = _parse_error(value)
+            if exc and expected is None:
+                expected = (line_no, str(exc))
+        else:
+            lines.append(value)
+            if expected is None:
+                expected = (line_no, None)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "templates.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code, out, err = _main(["solve", "--file", str(path)])
+    assert "Traceback" not in err
+    if expected is None:
+        assert code == 0
+        assert len(out.splitlines()) == len(lines)
+    else:
+        line_no, message = expected
+        assert code == 1
+        assert err.startswith(f"error: {path}:{line_no}: ")
+        if message is not None:
+            assert err == f"error: {path}:{line_no}: {message}\n"
+
+
+# Blanks and line breaks the DSL scan must split the same way on every Python.
+_PORTABLE_TEMPLATES = [
+    {"template_id": "T000", "dsl": REFERENCE_TEMPLATE},
+    {"template_id": "T001", "dsl": "If any (not A,\x0cB), then U.\x1cFacts: not a.\u2028Question: Is u correct?"},
+    {"template_id": "T002", "dsl": "If all (A, B, C), then U.\r\nIf any (D), then V.\r\nFacts: a, b.\r\n"
+                                   "Question: Is v correct?\r\nLabel: contradicted, if C1, C2"},
+]
+_PORTABLE_BAD = {"template_id": "T003", "dsl": "If all (A),\x85then U.\x1c\x1cFacts: a, b.\nQuestion: Is u correct?"}
+_PORTABLE_DIGEST = "9f839e2b3c1f1d64162b5da5d3dc2fb50d44cf0aaa4992926838295c880dff38"
+
+
+@pytest.mark.parametrize("minor", ["3.10", "3.11", "3.12", "3.13", "3.14"])
+def test_solve_same_bytes_on_every_python(tmp_path, minor):
+    # The runtime needs only the stdlib, so any installed interpreter can run it.
+    pythons = sorted((Path.home() / ".pyenv" / "versions").glob(f"{minor}.*/bin/python"))
+    if not pythons:
+        pytest.skip(f"no Python {minor} installed under pyenv")
+    good, bad, out_path = tmp_path / "templates.jsonl", tmp_path / "bad.jsonl", tmp_path / "verdicts.jsonl"
+    good.write_text("".join(json.dumps(r) + "\n" for r in _PORTABLE_TEMPLATES), encoding="utf-8")
+    bad.write_text(json.dumps(_PORTABLE_TEMPLATES[0]) + "\n" + json.dumps(_PORTABLE_BAD) + "\n", encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+
+    def solve(*argv):
+        argv = [str(pythons[-1]), "-m", "condlogic.cli", "solve", *argv]
+        return subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+
+    result = solve("--file", str(good), "--out", str(out_path))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "T000: entailed, if C1\nT001: entailed\nT002: contradicted, if C3\n"
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == _PORTABLE_DIGEST
+    result = solve("--file", str(bad))
+    assert result.returncode == 1
+    assert result.stderr == f"error: {bad}:2: line 4, column 11: unknown variable 'b' in facts\n"
 
 
 # --- generate ------------------------------------------------------------------
@@ -189,6 +331,40 @@ def test_parse_context(tmp_path, capsys):
     assert all(g["type"] == "unknown" for g in groups)
     li_group = next(g for g in groups if len(g["conditions"]) == 2)
     assert li_group["result"] == "You must apply in person. | Eligibility"
+
+
+def test_parse_context_stats_histograms(tmp_path, capsys):
+    # Root-level leaves (a paragraph before any heading, an empty heading),
+    # list items under a paragraph, and a nested heading: depths 1, 2 and 3.
+    rows = [
+        {"tag": "p", "text": "Read this first."},
+        {"tag": "h1", "text": "Eligibility"},
+        {"tag": "p", "text": "You must apply in person."},
+        {"tag": "li", "text": "bring id"},
+        {"tag": "li", "text": "bring proof of address"},
+        {"tag": "h2", "text": "Fees"},
+        {"tag": "p", "text": "Pay the fee."},
+        {"tag": "p", "text": "Students pay half."},
+        {"tag": "h1", "text": "Contact"},
+        {"tag": "h1", "text": "Appeals"},
+        {"tag": "p", "text": "Write to the board."},
+    ]
+    infile = tmp_path / "doc.jsonl"
+    infile.write_text("\n".join(json.dumps(r) for r in rows) + "\n", encoding="utf-8")
+    code, out, _ = run(
+        capsys, "parse-context", "--in", str(infile), "--out", str(tmp_path / "g.jsonl"), "--stats"
+    )
+    assert code == 0
+    assert out == (
+        "5 group(s), 7 condition(s)\n"
+        "group size histogram:\n"
+        "    1: 3\n"
+        "    2: 2\n"
+        "leaf depth histogram:\n"
+        "    1: 2\n"
+        "    2: 1\n"
+        "    3: 4\n"
+    )
 
 
 def test_parse_context_empty_input_exits_one(tmp_path, capsys):

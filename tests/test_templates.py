@@ -1,5 +1,7 @@
+import re
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from condlogic import (
     InvariantError,
@@ -15,6 +17,7 @@ from condlogic import (
     solve_template,
     validate_template,
 )
+from condlogic.templates import _first_fault
 from conftest import REFERENCE_TEMPLATE
 
 
@@ -340,3 +343,205 @@ def test_parser_and_validator_share_rules(case):
         got = str(exc).split(": ", 1)[1]
     assert (expected is None) == (fault is None)
     assert got == expected
+
+
+# --- differential check against the first parser ---------------------------
+_OLD_TOKEN_RE = re.compile(r"[A-Za-z]+[0-9]*|[(),.:?]")
+_OLD_QUALIFIER_RE = re.compile(r"[A-Z]+|C[0-9]+")
+
+
+class _OldToken:
+    def __init__(self, value, line, col):
+        self.value, self.line, self.col = value, line, col
+
+
+def _old_tokenize(text):
+    tokens = []
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        pos = 0
+        while pos < len(line):
+            if line[pos].isspace():
+                pos += 1
+                continue
+            m = _OLD_TOKEN_RE.match(line, pos)
+            if not m:
+                raise ParseError(f"unexpected character {line[pos]!r}", line_no, pos + 1)
+            tokens.append(_OldToken(m.group(), line_no, pos + 1))
+            pos = m.end()
+    return tokens
+
+
+class _OldTokenStream:
+    def __init__(self, tokens):
+        self._tokens = tokens
+        self._pos = 0
+
+    def peek(self):
+        if self._pos < len(self._tokens):
+            return self._tokens[self._pos].value
+        return None
+
+    def take(self, what="token"):
+        if self._pos >= len(self._tokens):
+            if self._tokens:
+                last = self._tokens[-1]
+                line, col = last.line, last.col + len(last.value)
+            else:
+                line, col = 1, 1
+            raise ParseError(f"unexpected end of input, expected {what}", line, col)
+        tok = self._tokens[self._pos]
+        self._pos += 1
+        return tok
+
+    def expect(self, value):
+        tok = self.take(repr(value))
+        if tok.value != value:
+            raise ParseError(f"expected {value!r}, found {tok.value!r}", tok.line, tok.col)
+        return tok
+
+
+def _old_take_var(ts, upper, what):
+    tok = ts.take(what)
+    ok = tok.value.isalpha() and (tok.value.isupper() if upper else tok.value.islower())
+    if not ok:
+        raise ParseError(f"expected {what}, found {tok.value!r}", tok.line, tok.col)
+    return tok
+
+
+def _old_parse_var_ref(ts, upper, what):
+    negated = False
+    if ts.peek() == "not":
+        ts.take()
+        negated = True
+    tok = _old_take_var(ts, upper, what)
+    return VarRef(tok.value, negated), tok
+
+
+def _old_parse_template_dsl(text):
+    """``parse_template_dsl`` as first written: one ``_Token`` per token, with its position."""
+    ts = _OldTokenStream(_old_tokenize(text))
+    groups, cond_tokens, cons_tokens = [], [], []
+    if ts.peek() != "If":
+        tok = ts.take("'If'")
+        raise ParseError(f"expected 'If', found {tok.value!r}", tok.line, tok.col)
+    while ts.peek() == "If":
+        ts.expect("If")
+        op_tok = ts.take("operator")
+        if op_tok.value not in ("all", "any"):
+            raise ParseError(f"unknown operator {op_tok.value!r}", op_tok.line, op_tok.col)
+        op = LogicalType.ALL if op_tok.value == "all" else LogicalType.ANY
+        ts.expect("(")
+        refs = []
+        ref, tok = _old_parse_var_ref(ts, upper=True, what="condition variable")
+        refs.append(ref)
+        cond_tokens.append(tok)
+        while ts.peek() == ",":
+            ts.take()
+            ref, tok = _old_parse_var_ref(ts, upper=True, what="condition variable")
+            refs.append(ref)
+            cond_tokens.append(tok)
+        ts.expect(")")
+        ts.expect(",")
+        ts.expect("then")
+        cons_tok = _old_take_var(ts, upper=True, what="premise variable")
+        ts.expect(".")
+        groups.append(TemplateGroup(op, tuple(refs), cons_tok.value))
+        cons_tokens.append(cons_tok)
+
+    ts.expect("Facts")
+    ts.expect(":")
+    facts, fact_tokens = [], []
+    while True:
+        ref, tok = _old_parse_var_ref(ts, upper=False, what="fact variable")
+        facts.append(VarRef(ref.var.upper(), ref.negated))
+        fact_tokens.append(tok)
+        if ts.peek() != ",":
+            break
+        ts.take()
+    ts.expect(".")
+
+    ts.expect("Question")
+    ts.expect(":")
+    ts.expect("Is")
+    q_tok = _old_take_var(ts, upper=False, what="question variable")
+    ts.expect("correct")
+    ts.expect("?")
+
+    label_tok = None
+    if ts.peek() == "Label":
+        ts.take()
+        ts.expect(":")
+        label_tok = ts.take("label")
+        if ts.peek() == ",":
+            ts.take()
+            ts.expect("if")
+            while True:
+                tok = ts.take("condition id")
+                if not _OLD_QUALIFIER_RE.fullmatch(tok.value):
+                    raise ParseError(f"expected condition id, found {tok.value!r}", tok.line, tok.col)
+                if ts.peek() != ",":
+                    break
+                ts.take()
+    if ts.peek() is not None:
+        tok = ts.take()
+        raise ParseError(f"unexpected trailing input {tok.value!r}", tok.line, tok.col)
+
+    if label_tok:
+        target = label_tok.value
+    elif any(g.consequent.lower() == q_tok.value for g in groups):
+        target = "entailed"
+    else:
+        target = "irrelevant"
+    template = Template(tuple(groups), tuple(facts), q_tok.value, target)
+    fault = _first_fault(template)
+    if fault:
+        message, site, index = fault
+        sites = {
+            "condition": cond_tokens,
+            "premise": cons_tokens,
+            "fact": fact_tokens,
+            "question": [q_tok],
+            "label": [label_tok],
+        }
+        tok = sites[site][index]
+        raise ParseError(message, tok.line, tok.col)
+    return template
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return str(exc), exc.line, exc.col
+
+
+# Characters no token starts with (a digit glues onto a letter before it)
+# and blanks and line breaks that str.splitlines, str.split and
+# str.isspace must agree on; then tokens of the grammar.
+_INSERTS = st.one_of(
+    st.sampled_from(["1", "\u00e9", "-", "\r\n", "\r", "\n", "\x0c", "\x1c", "\x1f", "\x85", "\u2028", " "]),
+    st.sampled_from(["A1", "C12", "not ", "A", "u", ",", ".", "(", ")", ":", "?", "If", "all", "then",
+                     "Label", ", if C1", "if"]),
+)
+
+
+@st.composite
+def mutated_texts(draw):
+    text = render_template_dsl(draw(templates()))
+    for _ in range(draw(st.integers(0, 3))):
+        pos = draw(st.integers(0, len(text)))
+        if draw(st.booleans()):
+            text = text[:pos] + draw(_INSERTS) + text[pos:]
+        else:
+            text = text[:pos] + text[pos + draw(st.integers(1, 6)):]
+    if draw(st.integers(0, 3)) == 0:
+        text = text[: draw(st.integers(0, len(text)))]
+    return text
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_texts())
+# A character no token covers in an otherwise valid template.
+@example("If all (A), then U.\nFacts: a.\nQuestion: Is u correct? \u00e9")
+def test_parser_matches_first_parser(text):
+    assert _outcome(parse_template_dsl, text) == _outcome(_old_parse_template_dsl, text)
