@@ -139,10 +139,6 @@ def label_accuracy(pred_labels: list[str], gold_labels: list[str]) -> tuple[floa
     return micro, macro
 
 
-def _ngrams(tokens: list[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
-
-
 def bleu(pred: str, ref: str, max_n: int = 4) -> float:
     """Sentence BLEU with uniform weights and no smoothing.
 
@@ -157,14 +153,20 @@ def bleu(pred: str, ref: str, max_n: int = 4) -> float:
     reference = ref.split()
     if not candidate:
         return 0.0
+    if candidate == reference:
+        # Every clipped count equals its total, so the formula gives exactly 1.0.
+        return 1.0 if len(candidate) >= max_n else 0.0
     log_precisions = []
     for n in range(1, max_n + 1):
-        cand_counts = _ngrams(candidate, n)
-        total = sum(cand_counts.values())
-        if total == 0:
+        total = len(candidate) - n + 1
+        if total <= 0:
             return 0.0
-        ref_counts = _ngrams(reference, n)
-        clipped = sum(min(count, ref_counts[gram]) for gram, count in cand_counts.items())
+        if n == 1:
+            cand_grams, ref_grams = candidate, reference
+        else:
+            cand_grams = zip(*(candidate[i:] for i in range(n)))
+            ref_grams = zip(*(reference[i:] for i in range(n)))
+        clipped = sum((Counter(cand_grams) & Counter(ref_grams)).values())
         if clipped == 0:
             return 0.0
         log_precisions.append(math.log(clipped / total))
@@ -209,13 +211,27 @@ def _str_list(value) -> list[str]:
         return []
     if not isinstance(value, list):
         raise InvariantError(f"expected a list, got {type(value).__name__}")
-    return [str(v) for v in value]
+    for item in value:
+        if not isinstance(item, str):
+            raise InvariantError(f"expected a list of strings, found {item!r}")
+    return value
 
 
 def _opt_str(value, name: str) -> str | None:
     if value is not None and not isinstance(value, str):
         raise InvariantError(f"{name} must be a string, got {type(value).__name__}")
     return value
+
+
+def _example_id(raw: dict, seen: dict) -> str:
+    """A record's id as a string: its ``id`` (a string or an integer) or its position."""
+    value = raw.get("id", len(seen))
+    if isinstance(value, bool) or not isinstance(value, (str, int)):
+        raise InvariantError(f"id must be a string or an integer, got {type(value).__name__}")
+    example_id = str(value)
+    if example_id in seen:
+        raise InvariantError(f"duplicate example id {example_id!r}")
+    return example_id
 
 
 def read_gold_file(path) -> list[GoldRecord]:
@@ -227,11 +243,8 @@ def read_gold_file(path) -> list[GoldRecord]:
     records: dict[str, GoldRecord] = {}
 
     def parse(raw: dict) -> GoldRecord:
-        example_id = str(raw.get("id", len(records)))
-        if example_id in records:
-            raise InvariantError(f"duplicate example id {example_id!r}")
         return GoldRecord(
-            example_id=example_id,
+            example_id=_example_id(raw, records),
             answers=tuple(_str_list(raw.get("answers"))),
             unsatisfied=frozenset(_str_list(raw.get("unsatisfied", raw.get("conditions")))),
             label=_opt_str(raw.get("label", raw.get("answer_label")), "label"),
@@ -248,24 +261,23 @@ def read_prediction_file(path) -> dict[str, Prediction]:
     """Read predictions keyed by example id.
 
     Tolerates gold-schema files, so a dataset can be evaluated against
-    itself: ``answer``/``answer_label``/first of ``answers`` give the
-    answer text, ``conditions``/``unsatisfied`` the id set.
+    itself: ``answer``/``answer_label``/first of ``answers``/``label``
+    give the answer text, ``conditions``/``unsatisfied`` the id set.
     """
     predictions: dict[str, Prediction] = {}
 
     def parse(raw: dict) -> Prediction:
-        example_id = str(raw.get("id", len(predictions)))
-        if example_id in predictions:
-            raise InvariantError(f"duplicate example id {example_id!r}")
-        answer = raw.get("answer", raw.get("answer_label"))
+        example_id = _example_id(raw, predictions)
+        label = _opt_str(raw.get("label", raw.get("answer_label")), "label")
+        answer = _opt_str(raw.get("answer", raw.get("answer_label")), "answer")
         if answer is None:
             answers = _str_list(raw.get("answers"))
-            answer = answers[0] if answers else ""
+            answer = answers[0] if answers else (label or "")
         return Prediction(
             example_id=example_id,
-            answer_text=str(answer),
+            answer_text=answer,
             unsatisfied=frozenset(_str_list(raw.get("conditions", raw.get("unsatisfied")))),
-            label=_opt_str(raw.get("label", raw.get("answer_label")), "label"),
+            label=label,
             question=_opt_str(raw.get("question"), "question"),
         )
 

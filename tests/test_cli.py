@@ -405,6 +405,117 @@ def test_evaluate_self(tmp_path, capsys, bank_path):
     assert len(per_example.read_text(encoding="utf-8").splitlines()) == 20
 
 
+@pytest.mark.parametrize("profile", ["condnli", "conditionalqa", "sharc"])
+def test_evaluate_label_only_file_scores_one(tmp_path, capsys, profile):
+    path = tmp_path / "labels.jsonl"
+    records = [{"id": "0", "label": "yes"}, {"id": 1, "label": "no", "question": "do you live there"}]
+    path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    rows_path = tmp_path / "rows.jsonl"
+    code, out, _ = run(capsys, "evaluate", "--pred", str(path), "--gold", str(path), "--profile", profile,
+                       "--per-example", str(rows_path))
+    assert code == 0
+    for line in out.splitlines()[1:]:  # each row's values follow a 22-character label
+        assert set(line[22:].split(" / ")) == {"1.0000"}, out
+    rows = [json.loads(line) for line in rows_path.read_text(encoding="utf-8").splitlines()]
+    assert [row.pop("id") for row in rows] == ["0", "1"]
+    assert [row.pop("bleu1") for row in rows] == [None, 1.0]
+    assert [row.pop("bleu4") for row in rows] == [None, 1.0]
+    for row in rows:
+        assert set(row.values()) == {1.0}, row
+
+
+def _is_json_object(line):
+    try:
+        return isinstance(json.loads(line), dict)
+    except ValueError:
+        return False
+
+
+_eval_ids = st.sampled_from(["0", "1", "a", 0, 1, 2])  # 0 and "0" collide
+_eval_words = st.lists(st.sampled_from(["yes", "no", "up", "to", "1200", "\u00e9"]), max_size=4).map(" ".join)
+_eval_ids_list = st.lists(st.sampled_from(["C0", "C1", "C2"]), max_size=3)
+# Records each reader accepts, as (id, record); a gold record has answers or a label.
+_gold_records = st.tuples(
+    _eval_ids,
+    st.fixed_dictionaries(
+        {"answers": st.lists(_eval_words, min_size=1, max_size=2)},
+        optional={"label": _eval_words, "unsatisfied": _eval_ids_list, "question": _eval_words},
+    )
+    | st.fixed_dictionaries(
+        {"answer_label": _eval_words}, optional={"conditions": _eval_ids_list, "question": _eval_words}
+    ),
+)
+_pred_records = st.tuples(
+    _eval_ids,
+    st.fixed_dictionaries(
+        {},
+        optional={"answer": _eval_words, "answer_label": _eval_words, "answers": st.lists(_eval_words, max_size=2),
+                  "label": _eval_words, "conditions": _eval_ids_list, "question": _eval_words},
+    ),
+)
+# Lines both readers reject: not JSON, not an object, or a field of the wrong type.
+_eval_bad_lines = st.one_of(
+    st.sampled_from(["[1, 2]", "{", "1", '"x"', "null", '{"id": {"a": 1}, "label": "yes"}',
+                     '{"id": 1.5, "label": "yes"}', '{"id": true, "label": "yes"}', '{"id": null, "label": "yes"}',
+                     '{"id": "x", "answers": [1]}', '{"id": "x", "answers": "yes"}',
+                     '{"id": "x", "label": "yes", "unsatisfied": [true]}', '{"id": "x", "label": 1}',
+                     '{"id": "x", "label": "yes", "question": 5}']),
+    st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\r\n"))
+    .filter(lambda line: line.strip() and not _is_json_object(line)),
+)
+
+
+def _eval_file(records):
+    """Text of ("good", (id, record)) / ("bad", line) entries, its first bad line number or None,
+    and whether it holds any good record."""
+    lines, seen, first_bad = [], set(), None
+    for line_no, (kind, value) in enumerate(records, start=1):
+        if kind == "good":
+            example_id, record = value
+            lines.append(json.dumps({"id": example_id, **record}))
+            if str(example_id) in seen and first_bad is None:
+                first_bad = line_no
+            seen.add(str(example_id))
+        else:
+            lines.append(value)
+            if first_bad is None:
+                first_bad = line_no
+    return "".join(line + "\n" for line in lines), first_bad, bool(seen)
+
+
+def _eval_lines(good):
+    return st.lists(good.map(lambda r: ("good", r)) | _eval_bad_lines.map(lambda line: ("bad", line)), max_size=6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_eval_lines(_gold_records), _eval_lines(_pred_records), st.sampled_from(["condnli", "conditionalqa", "sharc"]),
+       st.booleans())
+def test_evaluate_fuzz_files(gold_records, pred_records, profile, per_example):
+    gold_text, gold_bad, has_gold = _eval_file(gold_records)
+    pred_text, pred_bad, _ = _eval_file(pred_records)
+    with tempfile.TemporaryDirectory() as tmp:
+        gold, pred = Path(tmp) / "gold.jsonl", Path(tmp) / "pred.jsonl"
+        gold.write_text(gold_text, encoding="utf-8")
+        pred.write_text(pred_text, encoding="utf-8")
+        argv = ["evaluate", "--pred", str(pred), "--gold", str(gold), "--profile", profile]
+        if per_example:
+            argv += ["--per-example", str(Path(tmp) / "rows.jsonl")]
+        code, out, err = _main(argv)
+    assert "Traceback" not in err
+    if gold_bad is not None:
+        assert code == 1
+        assert err.startswith(f"error: {gold}:{gold_bad}: ")
+    elif not has_gold:
+        assert code == 1
+        assert err == f"error: gold file {str(gold)!r} holds no records\n"
+    elif pred_bad is not None:
+        assert code == 1
+        assert err.startswith(f"error: {pred}:{pred_bad}: ")
+    else:
+        assert code == 0
+        assert out.startswith("n examples")
+
+
 def test_evaluate_unknown_profile(capsys, tmp_path):
     code, _, err = run(
         capsys, "evaluate", "--pred", "x", "--gold", "y", "--profile", "squad"
@@ -449,6 +560,14 @@ def test_evaluate_non_object_line_exits_one(tmp_path, capsys, which):
         ({"id": "0", "answer_label": 1}, "label must be a string"),
         ({"id": "0", "answer_label": "entailed", "question": 5}, "question must be a string"),
         ({"id": "0", "answers": "yes"}, "expected a list"),
+        ({"id": {"a": 1}, "answer_label": "entailed"}, "id must be a string or an integer, got dict"),
+        ({"id": ["0"], "answer_label": "entailed"}, "id must be a string or an integer, got list"),
+        ({"id": 0.0, "answer_label": "entailed"}, "id must be a string or an integer, got float"),
+        ({"id": True, "answer_label": "entailed"}, "id must be a string or an integer, got bool"),
+        ({"id": "0", "answers": [1, 2]}, "expected a list of strings, found 1"),
+        ({"id": "0", "answer_label": "entailed", "unsatisfied": [True]}, "expected a list of strings, found True"),
+        ({"id": "0", "answer_label": "entailed", "conditions": ["C1", None]},
+         "expected a list of strings, found None"),
     ],
 )
 def test_evaluate_bad_field_type_exits_one(tmp_path, capsys, record, fragment):
@@ -460,6 +579,16 @@ def test_evaluate_bad_field_type_exits_one(tmp_path, capsys, record, fragment):
         code, _, err = run(capsys, "evaluate", "--pred", str(pred), "--gold", str(gold), "--profile", "sharc")
         assert code == 1
         assert f"{bad}:1: {fragment}" in err
+
+
+def test_evaluate_prediction_answer_must_be_a_string(tmp_path, capsys):
+    gold = tmp_path / "gold.jsonl"
+    gold.write_text(json.dumps({"id": "0", "answers": ["5"]}) + "\n", encoding="utf-8")
+    pred = tmp_path / "pred.jsonl"
+    pred.write_text(json.dumps({"id": "0", "answer": 5}) + "\n", encoding="utf-8")
+    code, _, err = run(capsys, "evaluate", "--pred", str(pred), "--gold", str(gold), "--profile", "conditionalqa")
+    assert code == 1
+    assert f"{pred}:1: answer must be a string, got int" in err
 
 
 def test_evaluate_non_utf8_exits_one(tmp_path, capsys):

@@ -2,12 +2,16 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import re
 import string
+import subprocess
+from collections import Counter
+from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import condlogic.metrics as metrics_module
 from condlogic import (
@@ -164,6 +168,54 @@ def test_bleu_rejects_bad_order():
         bleu("a", "a", 0)
 
 
+def _ngrams(tokens: list[str], n: int) -> Counter:
+    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+
+
+def _bleu_counter(pred: str, ref: str, max_n: int = 4) -> float:
+    """``bleu`` as first written: every order's n-grams counted and clipped one by one."""
+    if max_n < 1:
+        raise InvariantError("max_n must be at least 1")
+    candidate = pred.split()
+    reference = ref.split()
+    if not candidate:
+        return 0.0
+    log_precisions = []
+    for n in range(1, max_n + 1):
+        cand_counts = _ngrams(candidate, n)
+        total = sum(cand_counts.values())
+        if total == 0:
+            return 0.0
+        ref_counts = _ngrams(reference, n)
+        clipped = sum(min(count, ref_counts[gram]) for gram, count in cand_counts.items())
+        if clipped == 0:
+            return 0.0
+        log_precisions.append(math.log(clipped / total))
+    if len(candidate) >= len(reference):
+        brevity = 1.0
+    else:
+        brevity = math.exp(1.0 - len(reference) / len(candidate))
+    return brevity * math.exp(math.fsum(log_precisions) / max_n)
+
+
+# A four-word vocabulary makes repeated tokens and partial n-gram matches common.
+_bleu_tokens = st.lists(st.sampled_from("a b c d".split()), max_size=9)
+_separators = st.sampled_from([" ", "  ", "\t", " \n "])
+
+
+@given(
+    st.tuples(_bleu_tokens, _bleu_tokens) | _bleu_tokens.map(lambda tokens: (tokens, list(tokens))),
+    _separators,
+    _separators,
+    st.integers(1, 5),
+)
+@example((["a", "b"], ["a", "b"]), " ", " ", 3)
+@example((["a", "b", "c"], ["a", "b", "c"]), " ", "\t", 3)
+def test_bleu_matches_counter_oracle(tokens, cand_sep, ref_sep, max_n):
+    cand, ref = cand_sep.join(tokens[0]), ref_sep.join(tokens[1])
+    assert bleu(cand, ref, max_n).hex() == _bleu_counter(cand, ref, max_n).hex()
+
+
 # --- properties -------------------------------------------------------------
 
 ids = st.sets(st.sampled_from([f"C{i}" for i in range(6)]), max_size=6)
@@ -272,6 +324,14 @@ def test_duplicate_ids_rejected(tmp_path):
     )
     with pytest.raises(InvariantError):
         read_prediction_file(path2)
+
+
+def test_integer_ids_match_string_ids(tmp_path):
+    gold = write_jsonl(tmp_path / "gold.jsonl", [{"id": 0, "answers": ["yes"]}, {"id": "1", "answers": ["no"]}])
+    pred = write_jsonl(tmp_path / "pred.jsonl", [{"id": "0", "answer": "yes"}, {"id": 1, "answer": "no"}])
+    report = evaluate_files(pred, gold, TaskProfile.YESNO)
+    assert report.em == 1.0
+    assert report.n_missing_predictions == report.n_unmatched_predictions == 0
 
 
 def test_positional_ids_default(tmp_path):
@@ -459,3 +519,25 @@ def test_evaluate_golden_digests(tmp_path, bank_path, capsys):
         rows[profile] = digest((tmp_path / f"{profile}-rows.jsonl").read_bytes())
     assert reports == EVALUATE_REPORT_DIGESTS
     assert rows == EVALUATE_ROWS_DIGESTS
+
+
+@pytest.mark.parametrize("minor", ["3.10", "3.11", "3.12", "3.13", "3.14"])
+def test_evaluate_same_bytes_on_every_python(tmp_path, bank_path, minor):
+    # The runtime needs only the stdlib, so any installed interpreter can run it.
+    pythons = sorted((Path.home() / ".pyenv" / "versions").glob(f"{minor}.*/bin/python"))
+    if not pythons:
+        pytest.skip(f"no Python {minor} installed under pyenv")
+    from condlogic import cli
+
+    out_dir = tmp_path / "data"
+    assert cli.main(["generate", "--bank", str(bank_path), "--out", str(out_dir), "--seed", "7",
+                     "--templates", "10", "--dev", "300", "--test", "0"]) == 0
+    gold, pred, rows = out_dir / "dev.jsonl", tmp_path / "pred.jsonl", tmp_path / "rows.jsonl"
+    _perturbed_predictions(gold, pred)
+    argv = [str(pythons[-1]), "-m", "condlogic.cli", "evaluate", "--pred", str(pred), "--gold", str(gold),
+            "--profile", "sharc", "--per-example", str(rows)]
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    result = subprocess.run(argv, env=env, capture_output=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert hashlib.sha256(result.stdout).hexdigest() == EVALUATE_REPORT_DIGESTS["sharc"]
+    assert hashlib.sha256(rows.read_bytes()).hexdigest() == EVALUATE_ROWS_DIGESTS["sharc"]
