@@ -14,10 +14,12 @@ from __future__ import annotations
 
 import logging
 import math
+import os
 import re
 import string
-from collections import Counter, defaultdict
+from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
+from typing import Collection, Iterator
 
 from .errors import InvariantError
 from .jsonl import JsonlReader, write_jsonl
@@ -223,28 +225,32 @@ def _opt_str(value, name: str) -> str | None:
     return value
 
 
-def _example_id(raw: dict, seen: dict) -> str:
+def _example_id(raw: dict, seen: Collection[str]) -> str:
     """A record's id as a string: its ``id`` (a string or an integer) or its position."""
     value = raw.get("id", len(seen))
     if isinstance(value, bool) or not isinstance(value, (str, int)):
         raise InvariantError(f"id must be a string or an integer, got {type(value).__name__}")
     example_id = str(value)
     if example_id in seen:
+        if "id" not in raw:
+            raise InvariantError(
+                f"record has no id and its position {example_id} is already an earlier record's id"
+            )
         raise InvariantError(f"duplicate example id {example_id!r}")
     return example_id
 
 
-def read_gold_file(path) -> list[GoldRecord]:
-    """Read gold records, accepting generated-example files as-is.
+def read_gold_file(path) -> Iterator[GoldRecord]:
+    """Stream gold records, accepting generated-example files as-is.
 
     ``answer_label`` doubles as the single reference when no ``answers``
     list is present. Records without an ``id`` get their position.
     """
-    records: dict[str, GoldRecord] = {}
+    seen: set[str] = set()
 
     def parse(raw: dict) -> GoldRecord:
         return GoldRecord(
-            example_id=_example_id(raw, records),
+            example_id=_example_id(raw, seen),
             answers=tuple(_str_list(raw.get("answers"))),
             unsatisfied=frozenset(_str_list(raw.get("unsatisfied", raw.get("conditions")))),
             label=_opt_str(raw.get("label", raw.get("answer_label")), "label"),
@@ -253,8 +259,8 @@ def read_gold_file(path) -> list[GoldRecord]:
 
     with open(path, encoding="utf-8") as handle:
         for gold in JsonlReader(handle, path, parse, strict=True):
-            records[gold.example_id] = gold
-    return list(records.values())
+            seen.add(gold.example_id)
+            yield gold
 
 
 def read_prediction_file(path) -> dict[str, Prediction]:
@@ -323,64 +329,66 @@ def score_example(pred: Prediction | None, gold: GoldRecord, *, with_bleu: bool 
     return row
 
 
-def _mean(values) -> float | None:
-    values = list(values)
-    if not values:
-        return None
-    return sum(values) / len(values)
-
-
 def evaluate_files(pred_path, gold_path, profile: TaskProfile, per_example_path=None) -> EvalReport:
-    """Score a prediction file against a gold file.
+    """Score a prediction file against a gold file in one pass over the gold records.
 
     Gold records without a prediction score zero (empty prediction);
     predictions without a gold record are counted and ignored. Writes
-    per-example rows to ``per_example_path`` when given. BLEU is computed
-    only when the profile's report prints it or rows are written, so the
-    rows are the same under every profile.
+    per-example rows to ``per_example_path``, when given, as they are
+    scored, so a fault leaves the rows scored before it; that path may
+    not name an input. BLEU is computed only when the profile's report
+    prints it or rows are written, so the rows are the same under every
+    profile.
     """
-    golds = read_gold_file(gold_path)
-    if not golds:
-        raise InvariantError(f"gold file {gold_path!r} holds no records")
+    if per_example_path is not None and os.path.exists(per_example_path):
+        for source in (pred_path, gold_path):
+            if os.path.samefile(per_example_path, source):
+                raise InvariantError(f"per-example rows would overwrite the input file {source!r}")
     predictions = read_prediction_file(pred_path)
-
-    gold_ids = {g.example_id for g in golds}
-    unmatched = [pid for pid in predictions if pid not in gold_ids]
-    if unmatched:
-        logger.warning("%d prediction(s) match no gold example", len(unmatched))
-    missing = sum(1 for g in golds if g.example_id not in predictions)
-
     with_bleu = "bleu" in _PROFILE_ROWS[profile] or per_example_path is not None
-    rows = [score_example(predictions.get(g.example_id), g, with_bleu=with_bleu) for g in golds]
+    columns = ("em", "f1", "conditional_em", "conditional_f1", "condition_p", "condition_r", "condition_f1")
+    sums = dict.fromkeys(columns + ("bleu1", "bleu4"), 0.0)
+    n = matched = n_bleu = 0
+    pred_labels, gold_labels = [], []
+    empty = Prediction(example_id="")
 
-    labelled = [g for g in golds if g.label is not None]
-    micro = macro = None
-    if labelled:
-        empty = Prediction(example_id="")
-        micro, macro = label_accuracy(
-            [_predicted_label(predictions.get(g.example_id, empty)) for g in labelled],
-            [g.label for g in labelled],
-        )
+    def scored_rows():
+        nonlocal n, matched, n_bleu
+        for gold in read_gold_file(gold_path):
+            pred = predictions.get(gold.example_id)
+            row = score_example(pred, gold, with_bleu=with_bleu)
+            n += 1
+            matched += pred is not None
+            for column in columns:
+                sums[column] += row[column]
+            if row["bleu1"] is not None:
+                n_bleu += 1
+                sums["bleu1"] += row["bleu1"]
+                sums["bleu4"] += row["bleu4"]
+            if gold.label is not None:
+                pred_labels.append(_predicted_label(pred or empty))
+                gold_labels.append(gold.label)
+            yield row
 
-    report = EvalReport(
-        em=_mean(r["em"] for r in rows),
-        f1=_mean(r["f1"] for r in rows),
-        conditional_em=_mean(r["conditional_em"] for r in rows),
-        conditional_f1=_mean(r["conditional_f1"] for r in rows),
-        condition_p=_mean(r["condition_p"] for r in rows),
-        condition_r=_mean(r["condition_r"] for r in rows),
-        condition_f1=_mean(r["condition_f1"] for r in rows),
+    if per_example_path is None:
+        deque(scored_rows(), maxlen=0)
+    else:
+        write_jsonl(per_example_path, scored_rows())
+    if not n:
+        raise InvariantError(f"gold file {gold_path!r} holds no records")
+    if len(predictions) > matched:
+        logger.warning("%d prediction(s) match no gold example", len(predictions) - matched)
+    micro, macro = label_accuracy(pred_labels, gold_labels) if gold_labels else (None, None)
+    return EvalReport(
+        **{column: sums[column] / n for column in columns},
         micro_acc=micro,
         macro_acc=macro,
-        bleu1=_mean(r["bleu1"] for r in rows if r["bleu1"] is not None),
-        bleu4=_mean(r["bleu4"] for r in rows if r["bleu4"] is not None),
-        n_examples=len(golds),
-        n_missing_predictions=missing,
-        n_unmatched_predictions=len(unmatched),
+        bleu1=sums["bleu1"] / n_bleu if n_bleu else None,
+        bleu4=sums["bleu4"] / n_bleu if n_bleu else None,
+        n_examples=n,
+        n_missing_predictions=n - matched,
+        n_unmatched_predictions=len(predictions) - matched,
     )
-    if per_example_path is not None:
-        write_jsonl(per_example_path, rows)
-    return report
 
 
 _PROFILE_ROWS = {

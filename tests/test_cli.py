@@ -502,18 +502,54 @@ def test_evaluate_fuzz_files(gold_records, pred_records, profile, per_example):
             argv += ["--per-example", str(Path(tmp) / "rows.jsonl")]
         code, out, err = _main(argv)
     assert "Traceback" not in err
-    if gold_bad is not None:
+    if pred_bad is not None:
+        assert code == 1
+        assert err.startswith(f"error: {pred}:{pred_bad}: ")
+    elif gold_bad is not None:
         assert code == 1
         assert err.startswith(f"error: {gold}:{gold_bad}: ")
     elif not has_gold:
         assert code == 1
         assert err == f"error: gold file {str(gold)!r} holds no records\n"
-    elif pred_bad is not None:
-        assert code == 1
-        assert err.startswith(f"error: {pred}:{pred_bad}: ")
     else:
         assert code == 0
         assert out.startswith("n examples")
+
+
+@pytest.mark.parametrize("which", ["pred", "gold"])
+def test_evaluate_per_example_may_not_name_an_input(tmp_path, capsys, which):
+    files = {"pred": tmp_path / "pred.jsonl", "gold": tmp_path / "gold.jsonl"}
+    files["pred"].write_text(json.dumps({"id": "0", "answer_label": "neutral"}) + "\n", encoding="utf-8")
+    files["gold"].write_text(json.dumps({"id": "0", "answer_label": "entailed"}) + "\n", encoding="utf-8")
+    before = files[which].read_bytes()
+    same_file = os.path.join(tmp_path, "..", tmp_path.name, files[which].name)  # another spelling of the path
+    code, _, err = run(capsys, "evaluate", "--pred", str(files["pred"]), "--gold", str(files["gold"]),
+                       "--profile", "condnli", "--per-example", same_file)
+    assert code == 1
+    assert err == f"error: per-example rows would overwrite the input file {str(files[which])!r}\n"
+    assert files[which].read_bytes() == before
+
+
+@pytest.mark.parametrize("bad_line", [1, 4, 7])
+def test_evaluate_fault_leaves_rows_scored_before_it(tmp_path, capsys, bad_line):
+    records = [json.dumps({"id": str(i), "answer_label": "entailed", "unsatisfied": [f"C{i % 3}"],
+                           "question": "do you live there"}) for i in range(6)]
+    pred = tmp_path / "pred.jsonl"
+    pred.write_text(json.dumps({"id": "2", "answer_label": "entailed", "question": "do you"}) + "\n",
+                    encoding="utf-8")
+    good, gold = tmp_path / "good.jsonl", tmp_path / "gold.jsonl"
+    good.write_text("".join(r + "\n" for r in records), encoding="utf-8")
+    gold.write_text("".join(r + "\n" for r in records[: bad_line - 1] + ["[1, 2]"] + records[bad_line - 1 :]),
+                    encoding="utf-8")
+    all_rows, rows = tmp_path / "all-rows.jsonl", tmp_path / "rows.jsonl"
+    assert run(capsys, "evaluate", "--pred", str(pred), "--gold", str(good), "--profile", "sharc",
+               "--per-example", str(all_rows))[0] == 0
+    code, _, err = run(capsys, "evaluate", "--pred", str(pred), "--gold", str(gold), "--profile", "sharc",
+                       "--per-example", str(rows))
+    assert code == 1
+    assert err == f"error: {gold}:{bad_line}: not a JSON object\n"
+    expected = all_rows.read_text(encoding="utf-8").splitlines(keepends=True)[: bad_line - 1]
+    assert rows.read_text(encoding="utf-8") == "".join(expected)
 
 
 def test_evaluate_unknown_profile(capsys, tmp_path):

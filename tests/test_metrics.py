@@ -6,15 +6,20 @@ import os
 import re
 import string
 import subprocess
+import sys
+import tempfile
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import condlogic.metrics as metrics_module
+from condlogic import jsonl
 from condlogic import (
+    EvalReport,
     GoldRecord,
     InvariantError,
     Prediction,
@@ -318,7 +323,7 @@ def test_duplicate_ids_rejected(tmp_path):
         [{"id": "e0", "answers": ["x"]}, {"id": "e0", "answers": ["y"]}],
     )
     with pytest.raises(InvariantError):
-        read_gold_file(path)
+        list(read_gold_file(path))
     path2 = write_jsonl(
         tmp_path / "dup2.jsonl", [{"id": "p", "answer": "x"}, {"id": "p", "answer": "y"}]
     )
@@ -342,6 +347,15 @@ def test_positional_ids_default(tmp_path):
     assert [g.example_id for g in records] == ["0", "1"]
 
 
+def test_position_equal_to_an_earlier_id_rejected(tmp_path):
+    gold = write_jsonl(tmp_path / "gold.jsonl", [{"id": "1", "answers": ["x"]}, {"answers": ["y"]}])
+    pred = write_jsonl(tmp_path / "pred.jsonl", [{"id": 1, "answer": "x"}, {"answer": "y"}])
+    for path, read in ((gold, lambda p: list(read_gold_file(p))), (pred, read_prediction_file)):
+        with pytest.raises(InvariantError) as info:
+            read(path)
+        assert str(info.value) == f"{path}:2: record has no id and its position 1 is already an earlier record's id"
+
+
 def test_empty_gold_rejected(tmp_path):
     gold = tmp_path / "gold.jsonl"
     gold.write_text("", encoding="utf-8")
@@ -354,7 +368,7 @@ def test_invalid_json_rejected(tmp_path):
     bad = tmp_path / "bad.jsonl"
     bad.write_text("not json\n", encoding="utf-8")
     with pytest.raises(InvariantError):
-        read_gold_file(bad)
+        list(read_gold_file(bad))
 
 
 def test_labels_and_questions_scored(tmp_path):
@@ -541,3 +555,178 @@ def test_evaluate_same_bytes_on_every_python(tmp_path, bank_path, minor):
     assert result.returncode == 0, result.stderr
     assert hashlib.sha256(result.stdout).hexdigest() == EVALUATE_REPORT_DIGESTS["sharc"]
     assert hashlib.sha256(rows.read_bytes()).hexdigest() == EVALUATE_ROWS_DIGESTS["sharc"]
+
+
+# --- the one-pass evaluate against the staged evaluate it replaced ------------
+
+def _mean(values) -> float | None:
+    values = list(values)
+    if not values:
+        return None
+    return sum(values) / len(values)
+
+
+def _read_gold_file_list(path) -> list[GoldRecord]:
+    """``read_gold_file`` as it was before it streamed: every record kept in a dict."""
+    records: dict[str, GoldRecord] = {}
+
+    def parse(raw: dict) -> GoldRecord:
+        return GoldRecord(
+            example_id=metrics_module._example_id(raw, records),
+            answers=tuple(metrics_module._str_list(raw.get("answers"))),
+            unsatisfied=frozenset(metrics_module._str_list(raw.get("unsatisfied", raw.get("conditions")))),
+            label=metrics_module._opt_str(raw.get("label", raw.get("answer_label")), "label"),
+            question=metrics_module._opt_str(raw.get("question"), "question"),
+        )
+
+    with open(path, encoding="utf-8") as handle:
+        for gold in jsonl.JsonlReader(handle, path, parse, strict=True):
+            records[gold.example_id] = gold
+    return list(records.values())
+
+
+def _evaluate_files_staged(pred_path, gold_path, profile: TaskProfile, per_example_path=None) -> EvalReport:
+    """``evaluate_files`` as it was before it streamed: a gold list, a row list and a pass per column."""
+    golds = _read_gold_file_list(gold_path)
+    if not golds:
+        raise InvariantError(f"gold file {gold_path!r} holds no records")
+    predictions = read_prediction_file(pred_path)
+
+    gold_ids = {g.example_id for g in golds}
+    unmatched = [pid for pid in predictions if pid not in gold_ids]
+    if unmatched:
+        metrics_module.logger.warning("%d prediction(s) match no gold example", len(unmatched))
+    missing = sum(1 for g in golds if g.example_id not in predictions)
+
+    with_bleu = "bleu" in metrics_module._PROFILE_ROWS[profile] or per_example_path is not None
+    rows = [score_example(predictions.get(g.example_id), g, with_bleu=with_bleu) for g in golds]
+
+    labelled = [g for g in golds if g.label is not None]
+    micro = macro = None
+    if labelled:
+        empty = Prediction(example_id="")
+        micro, macro = label_accuracy(
+            [metrics_module._predicted_label(predictions.get(g.example_id, empty)) for g in labelled],
+            [g.label for g in labelled],
+        )
+
+    report = EvalReport(
+        em=_mean(r["em"] for r in rows),
+        f1=_mean(r["f1"] for r in rows),
+        conditional_em=_mean(r["conditional_em"] for r in rows),
+        conditional_f1=_mean(r["conditional_f1"] for r in rows),
+        condition_p=_mean(r["condition_p"] for r in rows),
+        condition_r=_mean(r["condition_r"] for r in rows),
+        condition_f1=_mean(r["condition_f1"] for r in rows),
+        micro_acc=micro,
+        macro_acc=macro,
+        bleu1=_mean(r["bleu1"] for r in rows if r["bleu1"] is not None),
+        bleu4=_mean(r["bleu4"] for r in rows if r["bleu4"] is not None),
+        n_examples=len(golds),
+        n_missing_predictions=missing,
+        n_unmatched_predictions=len(unmatched),
+    )
+    if per_example_path is not None:
+        jsonl.write_jsonl(per_example_path, rows)
+    return report
+
+
+_diff_words = st.lists(st.sampled_from(["do", "you", "live", "there", "up", "to", "1200", "the", "é"]),
+                       max_size=5).map(" ".join)
+_diff_labels = st.sampled_from(["entailed", "contradicted", "not enough info", "yes", "no", ""])
+_diff_conditions = st.lists(st.sampled_from(["C0", "C1", "C2", "C3"]), max_size=4, unique=True)
+_diff_gold = st.fixed_dictionaries(
+    {"answers": st.lists(_diff_words, min_size=1, max_size=2)},
+    optional={"label": _diff_labels, "unsatisfied": _diff_conditions, "question": _diff_words},
+) | st.fixed_dictionaries(
+    {"answer_label": _diff_labels}, optional={"conditions": _diff_conditions, "question": _diff_words}
+)
+_diff_pred = st.fixed_dictionaries(
+    {},
+    optional={"answer": _diff_words, "answer_label": _diff_labels, "answers": st.lists(_diff_words, max_size=2),
+              "label": _diff_labels, "conditions": _diff_conditions, "unsatisfied": _diff_conditions,
+              "question": _diff_words},
+)
+
+
+@st.composite
+def _gold_and_predictions(draw):
+    """Gold records with explicit or positional ids, and predictions that cover some of
+    them, in any order, plus some that match no gold record."""
+    golds, ids = [], []
+    for index, record in enumerate(draw(st.lists(_diff_gold, min_size=1, max_size=8))):
+        if draw(st.booleans()):
+            golds.append({"id": f"g{index}", **record})
+            ids.append(f"g{index}")
+        else:
+            golds.append(record)
+            ids.append(index)  # the reader gives it its position; an integer id matches it
+    predicted = [i for i in ids if draw(st.booleans())] + [f"x{j}" for j in range(draw(st.integers(0, 2)))]
+    preds = [{"id": i, **draw(_diff_pred)} for i in draw(st.permutations(predicted))]
+    return golds, preds
+
+
+def _assert_same_report(new: EvalReport, old: EvalReport) -> None:
+    for field in dataclasses.fields(EvalReport):
+        a, b = getattr(new, field.name), getattr(old, field.name)
+        if isinstance(a, float) and isinstance(b, float):
+            if sys.version_info >= (3, 12):
+                # From 3.12 on, sum() compensates its rounding; the running sums do not.
+                assert math.isclose(a, b, rel_tol=1e-12), (field.name, a, b)
+            else:
+                assert a.hex() == b.hex(), (field.name, a, b)
+        else:
+            assert a == b, (field.name, a, b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_gold_and_predictions())
+def test_evaluate_matches_staged_oracle(inputs):
+    golds, preds = inputs
+    with tempfile.TemporaryDirectory() as tmp:
+        gold, pred = Path(tmp) / "gold.jsonl", Path(tmp) / "pred.jsonl"
+        write_jsonl(gold, golds)
+        write_jsonl(pred, preds)
+        for profile in TaskProfile:
+            for rows in (None, Path(tmp) / "rows.jsonl"):
+                new = evaluate_files(pred, gold, profile, per_example_path=rows)
+                new_rows = rows.read_bytes() if rows else None
+                old = _evaluate_files_staged(pred, gold, profile, per_example_path=rows)
+                _assert_same_report(new, old)
+                assert new_rows == (rows.read_bytes() if rows else None)
+
+
+@pytest.fixture(scope="module")
+def generated_gold(tmp_path_factory):
+    """4000 generated examples over a bank with MultiNLI-length sentences, as the benchmark's."""
+    from condlogic import cli
+
+    root = tmp_path_factory.mktemp("generated")
+    labels = ("entailment", "contradiction", "neutral")
+    words = "the tenant must have lived in the flat for two years before the claim date and paid rent".split()
+    with open(root / "bank.jsonl", "w", encoding="utf-8") as handle:
+        for i in range(60):
+            text = " ".join(words[(i + k) % len(words)] for k in range(22))
+            handle.write(json.dumps({"premise": f"{labels[i % 3]} {i} {text}.",
+                                     "hypothesis": f"{labels[i % 3]} {i} {text[:60]}.", "label": labels[i % 3]}) + "\n")
+    assert cli.main(["generate", "--bank", str(root / "bank.jsonl"), "--out", str(root / "data"), "--seed", "7",
+                     "--templates", "10", "--dev", "4000", "--test", "0"]) == 0
+    return root / "data" / "dev.jsonl"
+
+
+@pytest.mark.parametrize("profile,with_rows", [(TaskProfile.CONDNLI, False), (TaskProfile.SHARC, True)])
+def test_evaluate_keeps_no_gold_records_or_rows(generated_gold, tmp_path, profile, with_rows):
+    # Keeping every gold record, or every row, peaked at about 73% of the gold file's size.
+    pred = tmp_path / "pred.jsonl"
+    with open(generated_gold, encoding="utf-8") as handle:
+        pred.write_text("".join(next(handle) for _ in range(10)), encoding="utf-8")
+    rows = tmp_path / "rows.jsonl" if with_rows else None
+    tracemalloc.start()
+    try:
+        report = evaluate_files(pred, generated_gold, profile, per_example_path=rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.n_examples == 4000
+    assert report.n_missing_predictions == 4000 - 10
+    assert peak < 0.25 * generated_gold.stat().st_size
