@@ -14,7 +14,7 @@ import argparse
 import io
 import logging
 import sys
-from collections import Counter
+from collections import Counter, deque
 from itertools import islice
 from pathlib import Path
 
@@ -28,7 +28,7 @@ from .generate import (
     generate_templates,
     load_nli_bank,
 )
-from .jsonl import JsonlReader, undecodable, write_jsonl
+from .jsonl import JsonlReader, _refuse_to_overwrite, undecodable, write_jsonl
 from .logic import LogicalType, TaskProfile, enumerate_assignments
 from .metrics import evaluate_files, format_report
 from .templates import _solve_valid, condition_ids, parse_template_dsl, render_template_dsl
@@ -45,12 +45,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def _format_verdict(label: str, unsatisfied) -> str:
-    if unsatisfied:
-        return f"{label}, if {', '.join(_sorted_ids(unsatisfied))}"
-    return label
 
 
 def cmd_generate(args) -> int:
@@ -135,6 +129,7 @@ def cmd_solve(args) -> int:
     stripped = text.lstrip()
     if not stripped:
         raise ToolkitError("empty input")
+    _refuse_to_overwrite(args.out, (args.file,) if args.file else (), "verdicts")
 
     def solve_record(record: dict):
         if not isinstance(record.get("dsl"), str):
@@ -142,27 +137,28 @@ def cmd_solve(args) -> int:
         template_id = record.get("template_id")
         if template_id is not None and not isinstance(template_id, str):
             raise InvariantError(f"template_id is not a string: {template_id!r}")
-        # The parser has checked the template's rules.
-        template = parse_template_dsl(record["dsl"])
-        return template_id, _solve_valid(template), condition_ids(template)
+        return template_id, parse_template_dsl(record["dsl"])
 
     if stripped.startswith("{"):
         # A templates.jsonl file: one {template_id, dsl} record per line.
-        results = list(JsonlReader(io.StringIO(text), source, solve_record, strict=True))
+        templates = JsonlReader(io.StringIO(text), source, solve_record, strict=True)
     else:
-        template = parse_template_dsl(text)
-        results = [(None, _solve_valid(template), condition_ids(template))]
+        templates = [(None, parse_template_dsl(text))]
 
-    out_rows = []
-    for template_id, verdict, ids in results:
-        mapped = [ids[v] for v in verdict.unsatisfied]
-        line = _format_verdict(verdict.label, mapped)
-        print(f"{template_id}: {line}" if template_id else line)
-        out_rows.append(
-            {"template_id": template_id, "answer_label": verdict.label, "unsatisfied": _sorted_ids(mapped)}
-        )
+    def verdict_rows():
+        # The parser has checked each template's rules.
+        for template_id, template in templates:
+            verdict = _solve_valid(template)
+            ids = condition_ids(template)
+            unsatisfied = _sorted_ids(ids[v] for v in verdict.unsatisfied)
+            line = f"{verdict.label}, if {', '.join(unsatisfied)}" if unsatisfied else verdict.label
+            print(f"{template_id}: {line}" if template_id else line)
+            yield {"template_id": template_id, "answer_label": verdict.label, "unsatisfied": unsatisfied}
+
     if args.out:
-        write_jsonl(args.out, out_rows)
+        write_jsonl(args.out, verdict_rows())
+    else:
+        deque(verdict_rows(), maxlen=0)
     return 0
 
 
@@ -171,12 +167,17 @@ def cmd_parse_context(args) -> int:
     if not elements:
         raise ToolkitError(f"no usable elements in {args.infile}")
     root = build_dom_tree(elements)
-    groups = _tree_groups(root)
-    write_jsonl(args.out, (group_to_dict(group) for group in groups))
-    print(f"{len(groups)} group(s), {sum(len(g.conditions) for g in groups)} condition(s)")
+    sizes: Counter = Counter()
+
+    def counted_rows():
+        for group in _tree_groups(root):
+            sizes[len(group.conditions)] += 1
+            yield group_to_dict(group)
+
+    n_groups = write_jsonl(args.out, counted_rows())
+    print(f"{n_groups} group(s), {sum(size * n for size, n in sizes.items())} condition(s)")
 
     if args.stats:
-        sizes = Counter(len(g.conditions) for g in groups)
         depths: Counter = Counter()
         stack = [(root, 0)]
         while stack:

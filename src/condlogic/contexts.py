@@ -15,6 +15,8 @@ accepted directly: every span becomes one condition of a single group.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import count, groupby
+from typing import Iterator
 
 from .errors import InvariantError
 from .jsonl import JsonlReader
@@ -49,13 +51,17 @@ class DomNode:
 def load_html_elements(path) -> list[HtmlElement]:
     """Read a JSONL stream of ``{tag, text}`` records.
 
-    Unknown tags are mapped to ``other``; records that are not objects
-    or whose text is blank are skipped with a warning.
+    Unknown tags are mapped to ``other``; records that are not objects,
+    or whose text is missing, blank or not a string, are skipped with a
+    warning.
     """
     elements: list[HtmlElement] = []
 
     def parse(raw: dict) -> HtmlElement:
-        text = str(raw.get("text", "")).strip()
+        text = raw.get("text", "")
+        if not isinstance(text, str):
+            raise ValueError("text is not a string")
+        text = text.strip()
         if not text:
             raise ValueError("empty text")
         tag = str(raw.get("tag", "other")).lower()
@@ -108,27 +114,21 @@ def build_dom_tree(elements: list[HtmlElement]) -> DomNode:
     return root
 
 
-def _walk_groups(node: DomNode, ancestors: list[str], out: list[tuple[list[HtmlElement], str]]):
-    leaves: list[HtmlElement] = []
+def _walk_groups(node: DomNode, ancestors: tuple[str, ...]) -> Iterator[tuple[list[HtmlElement], str]]:
+    """Yield ``(leaves, result_text)`` for each run of sibling leaves, in document order.
 
-    def flush():
-        if leaves:
-            out.append((list(leaves), RESULT_SEPARATOR.join(reversed(ancestors))))
-            leaves.clear()
-
-    for child in node.children:
-        if child.children:
-            # Sibling leaves around a subtree stay in separate groups.
-            flush()
-            ancestors.append(child.element.text)
-            _walk_groups(child, ancestors, out)
-            ancestors.pop()
+    ``ancestors`` are the texts from ``node`` up to the root.
+    """
+    for is_subtree, run in groupby(node.children, key=lambda child: bool(child.children)):
+        if is_subtree:
+            for child in run:
+                yield from _walk_groups(child, (child.element.text, *ancestors))
         elif node.is_root:
             # Leaves directly under the synthetic root stand alone.
-            out.append(([child.element], ""))
+            yield from (([child.element], "") for child in run)
         else:
-            leaves.append(child.element)
-    flush()
+            # Sibling leaves around a subtree stay in separate groups.
+            yield [child.element for child in run], RESULT_SEPARATOR.join(ancestors)
 
 
 def parse_html_context(elements: list[HtmlElement]) -> list[ConditionGroup]:
@@ -142,33 +142,19 @@ def parse_html_context(elements: list[HtmlElement]) -> list[ConditionGroup]:
     """
     if not elements:
         raise InvariantError("cannot parse an empty element stream")
-    return _tree_groups(build_dom_tree(elements))
+    return list(_tree_groups(build_dom_tree(elements)))
 
 
-def _tree_groups(root: DomNode) -> list[ConditionGroup]:
-    """The condition groups of a tree built by :func:`build_dom_tree`."""
-    collected: list[tuple[list[HtmlElement], str]] = []
-    _walk_groups(root, [], collected)
-    collected.sort(key=lambda pair: pair[0][0].index)
-
-    # Ids follow document order of the leaves themselves.
-    all_leaves = sorted((leaf for leaves, _ in collected for leaf in leaves), key=lambda e: e.index)
-    id_of = {leaf.index: f"C{i}" for i, leaf in enumerate(all_leaves)}
-
-    groups = []
-    for gi, (leaves, result_text) in enumerate(collected):
-        conditions = tuple(
-            Condition(id=id_of[leaf.index], text=leaf.text) for leaf in leaves
+def _tree_groups(root: DomNode) -> Iterator[ConditionGroup]:
+    """The condition groups of a tree built by :func:`build_dom_tree`, in document order."""
+    leaf_numbers = count()
+    for gi, (leaves, result_text) in enumerate(_walk_groups(root, ())):
+        yield ConditionGroup(
+            result_id=f"R{gi}",
+            result_text=result_text,
+            logical_type=LogicalType.UNKNOWN,
+            conditions=tuple(Condition(id=f"C{next(leaf_numbers)}", text=leaf.text) for leaf in leaves),
         )
-        groups.append(
-            ConditionGroup(
-                result_id=f"R{gi}",
-                result_text=result_text,
-                logical_type=LogicalType.UNKNOWN,
-                conditions=conditions,
-            )
-        )
-    return groups
 
 
 def _squash(text: str) -> str:

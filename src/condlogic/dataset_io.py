@@ -29,6 +29,19 @@ _CONDITION_ID_RE = re.compile(r"^C\d+$")
 _EXAMPLE_GROUP_TYPES = {"all", "any", "required"}
 
 
+# Readers check types and coerce nothing: a bool is not an integer here.
+def _string(value, name: str) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"{name} is not a string: {value!r}")
+    return value
+
+
+def _integer(value, name: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} is not an integer: {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class SplitManifest:
     split: str
@@ -42,12 +55,13 @@ class SplitManifest:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SplitManifest":
+        """Raises ``KeyError`` on a missing field and ``ValueError`` on one of the wrong type."""
         return cls(
-            split=str(raw["split"]),
-            count=int(raw["count"]),
-            seed=int(raw["seed"]),
-            config_hash=str(raw["config_hash"]),
-            version=str(raw.get("version", "")),
+            split=_string(raw["split"], "split"),
+            count=_integer(raw["count"], "count"),
+            seed=_integer(raw["seed"], "seed"),
+            config_hash=_string(raw["config_hash"], "config_hash"),
+            version=_string(raw.get("version", ""), "version"),
         )
 
 
@@ -79,10 +93,11 @@ def example_to_dict(example: Example) -> dict:
 def example_from_dict(raw: dict) -> Example:
     """Deserialize one example record, validating its shape.
 
-    Raises ``ValueError`` on missing fields, fields of the wrong type,
-    malformed condition ids, unknown group types, ``required`` groups
-    without exactly one condition, answer labels outside the condnli
-    label set, or unsatisfied ids that name no condition.
+    Raises ``ValueError`` on missing fields, fields or list items of the
+    wrong type (no value is coerced), malformed condition ids, unknown
+    group types, ``required`` groups without exactly one condition,
+    answer labels outside the condnli label set, or unsatisfied ids that
+    name no condition.
     """
     if not isinstance(raw, dict):
         raise ValueError("record is not an object")
@@ -97,9 +112,10 @@ def example_from_dict(raw: dict) -> Example:
     for key in ("context", "facts", "unsatisfied"):
         if not isinstance(raw[key], list):
             raise ValueError(f"{key} is not a list")
-    seed = raw["seed"]
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ValueError(f"seed is not an integer: {seed!r}")
+    for key in ("facts", "unsatisfied"):
+        for item in raw[key]:
+            _string(item, f"{key} item")
+    seed = _integer(raw["seed"], "seed")
     label = raw["answer_label"]
     if not isinstance(label, str) or label not in TaskProfile.CONDNLI.labels:
         raise ValueError(f"unknown answer label {label!r}")
@@ -123,29 +139,29 @@ def example_from_dict(raw: dict) -> Example:
             if not isinstance(cid, str) or not _CONDITION_ID_RE.match(cid):
                 raise ValueError(f"malformed condition id {cid!r}")
             condition_ids.add(cid)
-            conditions.append(Condition(id=cid, text=str(cond.get("text", ""))))
+            conditions.append(Condition(id=cid, text=_string(cond.get("text", ""), "condition text")))
         if type_token == "required" and len(conditions) != 1:
             raise ValueError(f"required group has {len(conditions)} conditions, expected 1")
         groups.append(
             ConditionGroup(
-                result_id=str(entry.get("result_id", "")),
-                result_text=str(entry.get("result", "")),
+                result_id=_string(entry.get("result_id", ""), "result_id"),
+                result_text=_string(entry.get("result", ""), "result"),
                 logical_type=LogicalType(type_token),
                 conditions=tuple(conditions),
             )
         )
 
-    unsatisfied = [str(i) for i in raw["unsatisfied"]]
+    unsatisfied = raw["unsatisfied"]
     stray = [i for i in unsatisfied if i not in condition_ids]
     if stray:
         raise ValueError(f"unsatisfied ids name no condition: {stray}")
 
     return Example(
         context=tuple(groups),
-        facts=tuple(str(f) for f in raw["facts"]),
-        question=str(raw["question"]),
+        facts=tuple(raw["facts"]),
+        question=_string(raw["question"], "question"),
         gold=Verdict(label, frozenset(unsatisfied)),
-        template_id=str(raw["template_id"]),
+        template_id=_string(raw["template_id"], "template_id"),
         seed=seed,
     )
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 from dataclasses import KW_ONLY, dataclass, field
 from typing import Callable, Iterable, Iterator
 
@@ -81,6 +82,14 @@ class JsonlReader:
             raise InvariantError(f"{self.source}:{line_no}: {reason}")
         logger.warning("%s:%d: %s, skipping", self.source, line_no, reason)
         self.skipped += 1
+
+
+def _refuse_to_overwrite(path, sources, what: str) -> None:
+    """Raise :class:`InvariantError` when ``path``, if given, names one of the ``sources`` files."""
+    if path and os.path.exists(path):
+        for source in sources:
+            if os.path.samefile(path, source):
+                raise InvariantError(f"{what} would overwrite the input file {source!r}")
 
 
 def write_jsonl(path, records: Iterable[dict]) -> int:

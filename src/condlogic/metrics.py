@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import logging
 import math
-import os
 import re
 import string
 from collections import Counter, defaultdict, deque
@@ -22,7 +21,7 @@ from dataclasses import dataclass
 from typing import Collection, Iterator
 
 from .errors import InvariantError
-from .jsonl import JsonlReader, write_jsonl
+from .jsonl import JsonlReader, _refuse_to_overwrite, write_jsonl
 from .logic import TaskProfile
 
 logger = logging.getLogger(__name__)
@@ -340,10 +339,7 @@ def evaluate_files(pred_path, gold_path, profile: TaskProfile, per_example_path=
     prints it or rows are written, so the rows are the same under every
     profile.
     """
-    if per_example_path is not None and os.path.exists(per_example_path):
-        for source in (pred_path, gold_path):
-            if os.path.samefile(per_example_path, source):
-                raise InvariantError(f"per-example rows would overwrite the input file {source!r}")
+    _refuse_to_overwrite(per_example_path, (pred_path, gold_path), "per-example rows")
     predictions = read_prediction_file(pred_path)
     with_bleu = "bleu" in _PROFILE_ROWS[profile] or per_example_path is not None
     columns = ("em", "f1", "conditional_em", "conditional_f1", "condition_p", "condition_r", "condition_f1")

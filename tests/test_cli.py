@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import logging
 import os
 import subprocess
 import tempfile
@@ -11,7 +12,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from condlogic import ParseError, cli, parse_template_dsl, templates
+from condlogic import KNOWN_TAGS, ParseError, cli, parse_template_dsl, templates
 from conftest import REFERENCE_TEMPLATE
 
 
@@ -235,6 +236,39 @@ def test_solve_same_bytes_on_every_python(tmp_path, minor):
     assert result.stderr == f"error: {bad}:2: line 4, column 11: unknown variable 'b' in facts\n"
 
 
+@pytest.mark.parametrize("bad_line", [1, 3, 5])
+def test_solve_fault_leaves_verdicts_solved_before_it(tmp_path, capsys, bad_line):
+    records = [json.dumps({**_PORTABLE_TEMPLATES[i % 3], "template_id": f"T{i:03d}"}) for i in range(6)]
+    good, bad = tmp_path / "good.jsonl", tmp_path / "bad.jsonl"
+    good.write_text("".join(r + "\n" for r in records), encoding="utf-8")
+    # An object, so that on line 1 too the file reads as templates.jsonl.
+    bad_record = '{"template_id": "T999", "dsl": 1}'
+    bad.write_text("".join(r + "\n" for r in records[: bad_line - 1] + [bad_record] + records[bad_line - 1 :]),
+                   encoding="utf-8")
+    all_rows, rows = tmp_path / "all-rows.jsonl", tmp_path / "rows.jsonl"
+    code, all_out, _ = run(capsys, "solve", "--file", str(good), "--out", str(all_rows))
+    assert code == 0
+    code, out, err = run(capsys, "solve", "--file", str(bad), "--out", str(rows))
+    assert code == 1
+    assert err == f"error: {bad}:{bad_line}: expected an object with a string 'dsl' field\n"
+    assert out == "".join(all_out.splitlines(keepends=True)[: bad_line - 1])
+    expected = all_rows.read_text(encoding="utf-8").splitlines(keepends=True)[: bad_line - 1]
+    assert rows.read_text(encoding="utf-8") == "".join(expected)
+
+
+@pytest.mark.parametrize("spelling", ["same", "dotdot"])
+def test_solve_out_may_not_name_the_input(tmp_path, capsys, spelling):
+    path = tmp_path / "templates.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in _PORTABLE_TEMPLATES), encoding="utf-8")
+    before = path.read_bytes()
+    out_path = str(path) if spelling == "same" else os.path.join(tmp_path, "..", tmp_path.name, path.name)
+    code, out, err = run(capsys, "solve", "--file", str(path), "--out", out_path)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: verdicts would overwrite the input file {str(path)!r}\n"
+    assert path.read_bytes() == before
+
+
 # --- generate ------------------------------------------------------------------
 
 def test_generate_writes_splits(tmp_path, capsys, bank_path):
@@ -373,6 +407,116 @@ def test_parse_context_empty_input_exits_one(tmp_path, capsys):
     code, _, err = run(capsys, "parse-context", "--in", str(infile), "--out", str(tmp_path / "o"))
     assert code == 1
     assert "no usable elements" in err
+
+
+class _Warnings(logging.Handler):
+    """The messages condlogic logs while installed."""
+
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.messages = []
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
+
+    def __enter__(self):
+        logging.getLogger("condlogic").addHandler(self)
+        return self
+
+    def __exit__(self, *exc):
+        logging.getLogger("condlogic").removeHandler(self)
+
+
+_page_words = st.lists(st.sampled_from(["Apply", "in", "person", "fee", "\u00e9t\u00e9", "1200"]),
+                       min_size=1, max_size=4).map(" ".join)
+# Each page line as (kind, text); a "skip" line carries the reason it is skipped for.
+_page_lines = st.one_of(
+    st.tuples(st.sampled_from([*KNOWN_TAGS, "H2", "blockquote", None]), _page_words).map(
+        lambda p: ("good", json.dumps({"text": p[1]} if p[0] is None else {"tag": p[0], "text": p[1]}))
+    ),
+    st.sampled_from(['{"tag": "p", "text": "  "}', '{"tag": "li"}', '{"text": "\\u2028"}']).map(
+        lambda line: ("skip", line, "empty text")
+    ),
+    st.sampled_from(["null", "5", '{"a": 1}', '["x"]', "true"]).map(
+        lambda text: ("skip", f'{{"tag": "p", "text": {text}}}', "text is not a string")
+    ),
+    st.sampled_from(["[1, 2]", "1", '"x"', "null"]).map(lambda line: ("skip", line, "not a JSON object")),
+    st.sampled_from(["{", "nonsense", '{"tag": "p",'])
+    .map(lambda line: ("skip", line, "invalid JSON (")),
+    st.sampled_from(["", "   "]).map(lambda line: ("blank", line)),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_page_lines, max_size=12))
+def test_parse_context_fuzz_pages(lines):
+    with tempfile.TemporaryDirectory() as tmp, _Warnings() as warnings:
+        page, out_path = Path(tmp) / "page.jsonl", Path(tmp) / "groups.jsonl"
+        page.write_text("".join(line[1] + "\n" for line in lines), encoding="utf-8")
+        code, out, err = _main(["parse-context", "--in", str(page), "--out", str(out_path)])
+        groups = out_path.read_text(encoding="utf-8").splitlines() if code == 0 else []
+    assert "Traceback" not in err
+    skipped = [(line_no, line[2]) for line_no, line in enumerate(lines, start=1) if line[0] == "skip"]
+    assert len(warnings.messages) == len(skipped)
+    for message, (line_no, reason) in zip(warnings.messages, skipped):
+        assert message.startswith(f"{page}:{line_no}: {reason}")
+        assert message.endswith(", skipping")
+    n_good = sum(line[0] == "good" for line in lines)
+    if n_good:
+        assert code == 0
+        assert sum(len(json.loads(group)["conditions"]) for group in groups) <= n_good
+        assert out.startswith(f"{len(groups)} group(s), ")
+    else:
+        assert code == 1
+        assert err == f"error: no usable elements in {page}\n"
+
+
+# Tags and whitespace the parser must read the same way on every Python.
+_PORTABLE_PAGE = [
+    {"tag": "p", "text": "Read this first."},
+    {"tag": "H1", "text": "Eligibility"},
+    {"tag": "p", "text": "\x1cYou must apply in person.\u2028"},
+    {"tag": "li", "text": "bring id"},
+    {"tag": "li", "text": "bring proof of address \u00e9"},
+    {"tag": "h2", "text": "Fees"},
+    {"tag": "blockquote", "text": "Pay the fee."},
+    {"tag": "p", "text": "Students pay half."},
+    {"tag": "p", "text": "\x85 \u2028"},
+    {"tag": "h1", "text": "Contact"},
+    {"tag": "h3", "text": "Appeals"},
+    {"tag": "p", "text": None},
+    {"tag": "li", "text": "Write to the board.\t"},
+]
+_PORTABLE_GROUPS_DIGEST = "dcb8a3e15e3c08823d7e9c414a17c6609464fcb689ccd94907dc894718722a9a"
+
+
+@pytest.mark.parametrize("minor", ["3.10", "3.11", "3.12", "3.13", "3.14"])
+def test_parse_context_same_bytes_on_every_python(tmp_path, minor):
+    pythons = sorted((Path.home() / ".pyenv" / "versions").glob(f"{minor}.*/bin/python"))
+    if not pythons:
+        pytest.skip(f"no Python {minor} installed under pyenv")
+    page, out_path = tmp_path / "page.jsonl", tmp_path / "groups.jsonl"
+    page.write_text("[1]\n" + "".join(json.dumps(r) + "\n" for r in _PORTABLE_PAGE), encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    argv = [str(pythons[-1]), "-m", "condlogic.cli", "parse-context", "--in", str(page), "--out", str(out_path),
+            "--stats"]
+    result = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == (
+        "4 group(s), 6 condition(s)\n"
+        "group size histogram:\n"
+        "    1: 2\n"
+        "    2: 2\n"
+        "leaf depth histogram:\n"
+        "    1: 1\n"
+        "    3: 5\n"
+    )
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == _PORTABLE_GROUPS_DIGEST
+    assert result.stderr == (
+        f"{page}:1: not a JSON object, skipping\n"
+        f"{page}:10: empty text, skipping\n"
+        f"{page}:13: text is not a string, skipping\n"
+    )
 
 
 # --- evaluate ---------------------------------------------------------------------

@@ -1,9 +1,11 @@
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from condlogic import (
+    Condition,
+    ConditionGroup,
     EduSequence,
     HtmlElement,
     InvariantError,
@@ -14,6 +16,7 @@ from condlogic import (
     load_html_elements,
     parse_html_context,
 )
+from condlogic.contexts import RESULT_SEPARATOR
 
 
 def elems(*pairs):
@@ -41,6 +44,18 @@ def test_load_elements(tmp_path, caplog):
     assert [e.tag for e in elements] == ["h1", "other", "other"]
     assert [e.index for e in elements] == [0, 1, 2]
     assert sum("skipping" in r.message for r in caplog.records) == 2
+
+
+@pytest.mark.parametrize("text", [None, {"a": 1}, 5, ["x"], True], ids=repr)
+def test_load_elements_skips_non_string_text(tmp_path, caplog, text):
+    path = tmp_path / "doc.jsonl"
+    lines = [{"tag": "p", "text": text}, {"tag": "p", "text": "Kept."}, {"tag": "p"}]
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+    with caplog.at_level("WARNING"):
+        elements = load_html_elements(path)
+    assert [e.text for e in elements] == ["Kept."]
+    assert f"{path}:1: text is not a string, skipping" in caplog.text
+    assert f"{path}:3: empty text, skipping" in caplog.text
 
 
 def test_headings_nest_by_level():
@@ -163,6 +178,63 @@ def test_groups_partition_leaves(tags):
     assert len(ids) == len(set(ids))
     assert all(g.logical_type is LogicalType.UNKNOWN for g in groups)
     assert [g.result_id for g in groups] == [f"R{i}" for i in range(len(groups))]
+
+
+# The grouping as it was when it sorted groups and mapped leaf ids through
+# a dict: the reference the one-pass generator must reproduce exactly.
+def _oracle_walk_groups(node, ancestors, out):
+    leaves = []
+
+    def flush():
+        if leaves:
+            out.append((list(leaves), RESULT_SEPARATOR.join(reversed(ancestors))))
+            leaves.clear()
+
+    for child in node.children:
+        if child.children:
+            # Sibling leaves around a subtree stay in separate groups.
+            flush()
+            ancestors.append(child.element.text)
+            _oracle_walk_groups(child, ancestors, out)
+            ancestors.pop()
+        elif node.is_root:
+            # Leaves directly under the synthetic root stand alone.
+            out.append(([child.element], ""))
+        else:
+            leaves.append(child.element)
+    flush()
+
+
+def _oracle_tree_groups(root):
+    collected = []
+    _oracle_walk_groups(root, [], collected)
+    collected.sort(key=lambda pair: pair[0][0].index)
+
+    # Ids follow document order of the leaves themselves.
+    all_leaves = sorted((leaf for leaves, _ in collected for leaf in leaves), key=lambda e: e.index)
+    id_of = {leaf.index: f"C{i}" for i, leaf in enumerate(all_leaves)}
+
+    groups = []
+    for gi, (leaves, result_text) in enumerate(collected):
+        conditions = tuple(
+            Condition(id=id_of[leaf.index], text=leaf.text) for leaf in leaves
+        )
+        groups.append(
+            ConditionGroup(
+                result_id=f"R{gi}",
+                result_text=result_text,
+                logical_type=LogicalType.UNKNOWN,
+                conditions=conditions,
+            )
+        )
+    return groups
+
+
+@settings(max_examples=300)
+@given(st.lists(_tags, min_size=1, max_size=60))
+def test_grouping_matches_sorting_oracle(tags):
+    elements = [HtmlElement(tag, f"t{i}", i) for i, tag in enumerate(tags)]
+    assert parse_html_context(elements) == _oracle_tree_groups(build_dom_tree(elements))
 
 
 # --- discourse-unit input ---------------------------------------------------

@@ -98,7 +98,18 @@ def test_manifest_count_mismatch_warns(tmp_path, examples, caplog):
 
 @pytest.mark.parametrize(
     "sidecar",
-    ["{}", "not json", '{"split": "dev", "count": "x", "seed": 1, "config_hash": "h"}', "[1]"],
+    [
+        "{}",
+        "not json",
+        '{"split": "dev", "count": "x", "seed": 1, "config_hash": "h"}',
+        "[1]",
+        '{"split": "dev", "count": 1.9, "seed": 1, "config_hash": "h"}',
+        '{"split": "dev", "count": 2, "seed": true, "config_hash": "h"}',
+        '{"split": "dev", "count": true, "seed": 1, "config_hash": "h"}',
+        '{"split": 5, "count": 2, "seed": 1, "config_hash": "h"}',
+        '{"split": "dev", "count": 2, "seed": 1, "config_hash": null}',
+        '{"split": "dev", "count": 2, "seed": 1, "config_hash": "h", "version": 1}',
+    ],
 )
 def test_malformed_manifest_is_ignored(tmp_path, examples, caplog, sidecar):
     exs, config = examples
@@ -164,9 +175,17 @@ def test_example_from_dict_rejects_non_object():
         (lambda r: r["context"][0]["conditions"][0].update(id=0), "malformed condition id"),
         (lambda r: r.update(seed=None), "seed is not an integer"),
         (lambda r: r.update(seed="12"), "seed is not an integer"),
+        (lambda r: r.update(facts=[None, 2]), "facts item is not a string: None"),
+        (lambda r: r.update(unsatisfied=[1]), "unsatisfied item is not a string: 1"),
+        (lambda r: r.update(question=["q"]), "question is not a string"),
+        (lambda r: r.update(template_id=5), "template_id is not a string: 5"),
+        (lambda r: r["context"][0]["conditions"][0].update(text=None), "condition text is not a string: None"),
+        (lambda r: r["context"][0].update(result_id=0), "result_id is not a string: 0"),
+        (lambda r: r["context"][0].update(result={"a": 1}), "result is not a string"),
     ],
     ids=["unsatisfied-str", "facts-str", "context-int", "conditions-int", "condition-str",
-         "condition-id-int", "seed-null", "seed-str"],
+         "condition-id-int", "seed-null", "seed-str", "facts-items", "unsatisfied-item-int", "question-list",
+         "template-id-int", "condition-text-null", "result-id-int", "result-object"],
 )
 def test_malformed_field_skipped_by_read_split(tmp_path, examples, caplog, mutate, fragment):
     exs, _ = examples
