@@ -1,18 +1,15 @@
 """Parse a document context into condition groups.
 
 Support documents arrive as a flat stream of tagged elements. The
-parser reconstructs the heading/list nesting, treats the leaves as
-conditions, and joins each leaf's ancestor texts into the result its
-group guards. Pre-segmented discourse units skip the tree entirely.
+parser reads the heading/list nesting from the tags in one pass, treats
+the elements without children as conditions, and joins each one's
+ancestor texts into the result its group guards. Each group is emitted
+as soon as the element that ends it has been read.
 """
 
-from condlogic import (
-    EduSequence,
-    HtmlElement,
-    accept_edu_input,
-    build_dom_tree,
-    parse_html_context,
-)
+from collections import Counter
+
+from condlogic import HtmlElement, group_elements
 
 rows = [
     ("h1", "Overview"),
@@ -24,37 +21,22 @@ rows = [
     ("h2", "How much you get"),
     ("p", "Up to 1200 per household."),
 ]
-elements = [HtmlElement(tag, text, i) for i, (tag, text) in enumerate(rows)]
+elements = [HtmlElement(tag, text) for tag, text in rows]
 
-print("=== reconstructed tree ===\n")
-
-
-def show(node, depth=0):
-    if node.element is not None:
-        print(f"{'  ' * depth}[{node.element.tag}] {node.element.text}")
-    for child in node.children:
-        show(child, depth + (node.element is not None))
-
-
-show(build_dom_tree(elements))
+print("=== tagged elements ===\n")
+for element in elements:
+    print(f"  [{element.tag}] {element.text}")
 print()
 
 print("=== condition groups ===\n")
-for group in parse_html_context(elements):
+depths = Counter()
+for group in group_elements(elements, depths):
     print(f"{group.result_id} ({group.logical_type.value})")
     print(f"  result: {group.result_text or '(document root)'}")
     for condition in group.conditions:
         print(f"  {condition.id}: {condition.text}")
     print()
 
-print("=== pre-segmented discourse units ===\n")
-sequences = [
-    EduSequence(
-        ("You may qualify for a reduction ", "if you live alone ", "or with students."),
-        sentence_id="s0",
-        sentence="You may qualify for a reduction if you live alone or with students.",
-    ),
-]
-for group in accept_edu_input(sequences):
-    for condition in group.conditions:
-        print(f"  {condition.id}: {condition.text}")
+print("=== leaf depths (1 = top level) ===\n")
+for depth, n in sorted(depths.items()):
+    print(f"  depth {depth}: {n} condition(s)")

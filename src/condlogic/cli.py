@@ -11,14 +11,14 @@ Exit codes: 0 success, 1 usage or validation error, 2 I/O error.
 from __future__ import annotations
 
 import argparse
-import io
 import logging
 import sys
 from collections import Counter, deque
-from itertools import islice
+from contextlib import closing, nullcontext
+from itertools import chain, islice
 from pathlib import Path
 
-from .contexts import _tree_groups, build_dom_tree, load_html_elements
+from .contexts import group_elements, load_html_elements
 from .dataset_io import SplitManifest, _sorted_ids, group_to_dict, write_split
 from .errors import InvariantError, ToolkitError
 from .generate import (
@@ -121,15 +121,6 @@ def cmd_solve(args) -> int:
     if not (args.file or args.stdin):
         raise ToolkitError("nothing to solve: pass --file, --stdin, or --assignments")
     source = args.file or "<stdin>"
-    try:
-        text = Path(source).read_text(encoding="utf-8") if args.file else sys.stdin.read()
-    except UnicodeDecodeError as exc:
-        raise undecodable(source, exc) from None
-
-    stripped = text.lstrip()
-    if not stripped:
-        raise ToolkitError("empty input")
-    _refuse_to_overwrite(args.out, (args.file,) if args.file else (), "verdicts")
 
     def solve_record(record: dict):
         if not isinstance(record.get("dsl"), str):
@@ -139,13 +130,7 @@ def cmd_solve(args) -> int:
             raise InvariantError(f"template_id is not a string: {template_id!r}")
         return template_id, parse_template_dsl(record["dsl"])
 
-    if stripped.startswith("{"):
-        # A templates.jsonl file: one {template_id, dsl} record per line.
-        templates = JsonlReader(io.StringIO(text), source, solve_record, strict=True)
-    else:
-        templates = [(None, parse_template_dsl(text))]
-
-    def verdict_rows():
+    def verdict_rows(templates):
         # The parser has checked each template's rules.
         for template_id, template in templates:
             verdict = _solve_valid(template)
@@ -155,36 +140,54 @@ def cmd_solve(args) -> int:
             print(f"{template_id}: {line}" if template_id else line)
             yield {"template_id": template_id, "answer_label": verdict.label, "unsatisfied": unsatisfied}
 
-    if args.out:
-        write_jsonl(args.out, verdict_rows())
-    else:
-        deque(verdict_rows(), maxlen=0)
+    with open(args.file, encoding="utf-8") if args.file else nullcontext(sys.stdin) as handle:
+        # Lines up to the first one with text, whose first character tells a
+        # templates.jsonl file from one plain template.
+        head = []
+        try:
+            for line in handle:
+                head.append(line)
+                if line.strip():
+                    break
+            else:
+                raise ToolkitError("empty input")
+            text = None if head[-1].lstrip().startswith("{") else "".join(head) + handle.read()
+        except UnicodeDecodeError as exc:
+            raise undecodable(source, exc) from None
+        _refuse_to_overwrite(args.out, (args.file,) if args.file else (), "verdicts")
+
+        if text is None:
+            # A templates.jsonl file: one {template_id, dsl} record per line,
+            # solved as it is read; the lines already read keep their numbers.
+            templates = JsonlReader(chain(head, handle), source, solve_record, strict=True)
+        else:
+            templates = [(None, parse_template_dsl(text))]
+        if args.out:
+            write_jsonl(args.out, verdict_rows(templates))
+        else:
+            deque(verdict_rows(templates), maxlen=0)
     return 0
 
 
 def cmd_parse_context(args) -> int:
-    elements = load_html_elements(args.infile)
-    if not elements:
-        raise ToolkitError(f"no usable elements in {args.infile}")
-    root = build_dom_tree(elements)
     sizes: Counter = Counter()
+    depths: Counter = Counter()
+    with closing(load_html_elements(args.infile)) as elements:
+        # A page with no usable element fails before --out is created.
+        first = next(elements, None)
+        if first is None:
+            raise ToolkitError(f"no usable elements in {args.infile}")
+        _refuse_to_overwrite(args.out, (args.infile,), "groups")
 
-    def counted_rows():
-        for group in _tree_groups(root):
-            sizes[len(group.conditions)] += 1
-            yield group_to_dict(group)
+        def counted_rows():
+            for group in group_elements(chain((first,), elements), depths):
+                sizes[len(group.conditions)] += 1
+                yield group_to_dict(group)
 
-    n_groups = write_jsonl(args.out, counted_rows())
+        n_groups = write_jsonl(args.out, counted_rows())
     print(f"{n_groups} group(s), {sum(size * n for size, n in sizes.items())} condition(s)")
 
     if args.stats:
-        depths: Counter = Counter()
-        stack = [(root, 0)]
-        while stack:
-            node, depth = stack.pop()
-            if not node.children and node.element is not None:
-                depths[depth] += 1
-            stack.extend((child, depth + 1) for child in node.children)
         print("group size histogram:")
         for size, count in sorted(sizes.items()):
             print(f"  {size:>3}: {count}")

@@ -1,22 +1,29 @@
 """Turning document contexts into condition groups.
 
 Web-page contexts arrive as a flat stream of tagged elements. Nesting is
-reconstructed from the tags: headings h1-h4 nest by level, list items
-belong to the sentence that introduces them, and other elements sit
-under the nearest open heading. Leaves of the resulting tree are the
-conditions; the texts on the path back to the root describe the result
-they guard. The combinator between such conditions is not stated in the
-document, so emitted groups carry logical type ``unknown``.
+implied by the tags: headings h1-h4 nest by level, list items belong to
+the sentence that introduces them, and other elements sit under the
+nearest open heading. Elements without children are the conditions;
+the texts of the elements above one, most specific first, describe the
+result it guards. Sibling leaves with no subtree between them form one
+group; leaves at the top level stand alone with an empty result. The
+combinator between such conditions is not stated in the document, so
+emitted groups carry logical type ``unknown``.
 
-Discourse-segmented input (sentences pre-split into elementary units) is
-accepted directly: every span becomes one condition of a single group.
+The grouping is one pass over the stream that keeps only the open
+elements, from the top level down to the last one read: a node never
+reopens, and the element after a node either becomes its first child or
+closes it, so each group is complete, and emitted, as soon as the
+element that ends it has been read. Memory grows with the nesting depth
+and the longest run of sibling leaves, not with the page.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import count, groupby
-from typing import Iterator
+from collections import Counter
+from dataclasses import dataclass
+from itertools import count
+from typing import Iterable, Iterator
 
 from .errors import InvariantError
 from .jsonl import JsonlReader
@@ -33,46 +40,30 @@ RESULT_SEPARATOR = " | "
 class HtmlElement:
     tag: str
     text: str
-    index: int
 
 
-@dataclass
-class DomNode:
-    """Tree node; ``element`` is ``None`` only for the synthetic root."""
+def _element(raw: dict) -> HtmlElement:
+    text = raw.get("text", "")
+    if not isinstance(text, str):
+        raise ValueError("text is not a string")
+    text = text.strip()
+    if not text:
+        raise ValueError("empty text")
+    tag = str(raw.get("tag", "other")).lower()
+    if tag not in KNOWN_TAGS:
+        tag = "other"
+    return HtmlElement(tag=tag, text=text)
 
-    element: HtmlElement | None
-    children: list[DomNode] = field(default_factory=list)
 
-    @property
-    def is_root(self) -> bool:
-        return self.element is None
-
-
-def load_html_elements(path) -> list[HtmlElement]:
-    """Read a JSONL stream of ``{tag, text}`` records.
+def load_html_elements(path) -> Iterator[HtmlElement]:
+    """Stream the elements of a JSONL page of ``{tag, text}`` records, in file order.
 
     Unknown tags are mapped to ``other``; records that are not objects,
     or whose text is missing, blank or not a string, are skipped with a
-    warning.
+    warning. The file is closed when the stream ends or is closed.
     """
-    elements: list[HtmlElement] = []
-
-    def parse(raw: dict) -> HtmlElement:
-        text = raw.get("text", "")
-        if not isinstance(text, str):
-            raise ValueError("text is not a string")
-        text = text.strip()
-        if not text:
-            raise ValueError("empty text")
-        tag = str(raw.get("tag", "other")).lower()
-        if tag not in KNOWN_TAGS:
-            tag = "other"
-        return HtmlElement(tag=tag, text=text, index=len(elements))
-
     with open(path, encoding="utf-8") as handle:
-        for element in JsonlReader(handle, path, parse):
-            elements.append(element)
-    return elements
+        yield from JsonlReader(handle, path, _element)
 
 
 def _heading_level(tag: str) -> int | None:
@@ -81,126 +72,91 @@ def _heading_level(tag: str) -> int | None:
     return None
 
 
-def build_dom_tree(elements: list[HtmlElement]) -> DomNode:
-    """Reconstruct nesting from a flat element stream.
+class _Frame:
+    """An open element: its tag, heading level and text, the texts of its
+    leaf children not yet emitted, and whether it has children."""
 
-    Attachment rules: a heading closes any open headings of equal or
-    lower rank and all open non-headings; a list item attaches to the
-    nearest preceding non-li element; anything else attaches to the
-    nearest open heading (or the root).
+    __slots__ = ("tag", "level", "text", "run", "has_children")
+
+    def __init__(self, tag: str | None, level: int | None, text: str):
+        self.tag = tag
+        self.level = level
+        self.text = text
+        self.run: list[str] = []
+        self.has_children = False
+
+
+def _closes(top: _Frame, tag: str, level: int | None) -> bool:
+    """Whether an element with this tag and heading level closes the open element ``top``.
+
+    A heading closes any open headings of equal or lower rank and all
+    open non-headings; a list item closes an open list item; anything
+    else closes everything up to the nearest open heading.
     """
-    root = DomNode(None)
-    # Stack of open nodes from root to the current insertion point.
-    stack: list[DomNode] = [root]
+    if level is not None:
+        return top.level is None or top.level >= level
+    if tag == "li":
+        return top.tag == "li"
+    return top.level is None
+
+
+def group_elements(elements: Iterable[HtmlElement], leaf_depths: Counter | None = None) -> Iterator[ConditionGroup]:
+    """Yield the condition groups of an element stream as each one completes, in document order.
+
+    Each element becomes a child of the nearest open element it does not
+    close (see :func:`_closes`). Groups are numbered ``R0, R1, ...`` and
+    conditions ``C0, C1, ...`` across the whole stream. When
+    ``leaf_depths`` is given, it counts each leaf at its depth (1 at the
+    top level).
+    """
+    # The open elements under a synthetic root, which is never closed.
+    stack = [_Frame(None, None, "")]
+    group_numbers, leaf_numbers = count(), count()
+
+    def group(texts: list[str], path: list[_Frame]) -> ConditionGroup:
+        # ``path`` runs from the top level down to the leaves' parent.
+        return ConditionGroup(
+            result_id=f"R{next(group_numbers)}",
+            result_text=RESULT_SEPARATOR.join(frame.text for frame in reversed(path)),
+            logical_type=LogicalType.UNKNOWN,
+            # From a list, so that the tuple is made at its size and not resized.
+            conditions=tuple([Condition(id=f"C{next(leaf_numbers)}", text=text) for text in texts]),
+        )
+
+    def close() -> ConditionGroup | None:
+        """Close the top element; return the group that this completes, if any."""
+        frame = stack.pop()
+        if frame.has_children:
+            return group(frame.run, [*stack[1:], frame]) if frame.run else None
+        if leaf_depths is not None:
+            leaf_depths[len(stack)] += 1
+        if len(stack) == 1:
+            # Leaves directly under the synthetic root stand alone.
+            return group([frame.text], [])
+        stack[-1].run.append(frame.text)
+        return None
 
     for element in elements:
         level = _heading_level(element.tag)
-        if level is not None:
-            while not stack[-1].is_root:
-                top = stack[-1].element
-                top_level = _heading_level(top.tag)
-                if top_level is not None and top_level < level:
-                    break
-                stack.pop()
-        elif element.tag == "li":
-            if not stack[-1].is_root and stack[-1].element.tag == "li":
-                stack.pop()
-        else:
-            while not stack[-1].is_root and _heading_level(stack[-1].element.tag) is None:
-                stack.pop()
-        node = DomNode(element)
-        stack[-1].children.append(node)
-        stack.append(node)
-    return root
-
-
-def _walk_groups(node: DomNode, ancestors: tuple[str, ...]) -> Iterator[tuple[list[HtmlElement], str]]:
-    """Yield ``(leaves, result_text)`` for each run of sibling leaves, in document order.
-
-    ``ancestors`` are the texts from ``node`` up to the root.
-    """
-    for is_subtree, run in groupby(node.children, key=lambda child: bool(child.children)):
-        if is_subtree:
-            for child in run:
-                yield from _walk_groups(child, (child.element.text, *ancestors))
-        elif node.is_root:
-            # Leaves directly under the synthetic root stand alone.
-            yield from (([child.element], "") for child in run)
-        else:
+        while len(stack) > 1 and _closes(stack[-1], element.tag, level):
+            if done := close():
+                yield done
+        parent = stack[-1]
+        if not parent.has_children:
+            parent.has_children = True
             # Sibling leaves around a subtree stay in separate groups.
-            yield [child.element for child in run], RESULT_SEPARATOR.join(ancestors)
+            if len(stack) > 1 and stack[-2].run:
+                yield group(stack[-2].run, stack[1:-1])
+                stack[-2].run = []
+        stack.append(_Frame(element.tag, level, element.text))
+    while len(stack) > 1:
+        if done := close():
+            yield done
 
 
-def parse_html_context(elements: list[HtmlElement]) -> list[ConditionGroup]:
-    """Group the leaves of the reconstructed tree into condition groups.
-
-    Leaves sharing a real parent form one group whose result joins the
-    ancestor texts from the direct parent up to the root; leaves directly
-    under the synthetic root each form a single-condition group with an
-    empty result. Groups and conditions keep document order; condition
-    ids number the leaves across the whole document.
-    """
-    if not elements:
+def parse_html_context(elements: Iterable[HtmlElement]) -> list[ConditionGroup]:
+    """The condition groups of an element stream, as a list: see :func:`group_elements`."""
+    groups = list(group_elements(elements))
+    if not groups:
         raise InvariantError("cannot parse an empty element stream")
-    return list(_tree_groups(build_dom_tree(elements)))
-
-
-def _tree_groups(root: DomNode) -> Iterator[ConditionGroup]:
-    """The condition groups of a tree built by :func:`build_dom_tree`, in document order."""
-    leaf_numbers = count()
-    for gi, (leaves, result_text) in enumerate(_walk_groups(root, ())):
-        yield ConditionGroup(
-            result_id=f"R{gi}",
-            result_text=result_text,
-            logical_type=LogicalType.UNKNOWN,
-            conditions=tuple(Condition(id=f"C{next(leaf_numbers)}", text=leaf.text) for leaf in leaves),
-        )
-
-
-def _squash(text: str) -> str:
-    return "".join(text.split())
-
-
-@dataclass(frozen=True)
-class EduSequence:
-    """Sub-sentence spans of one source sentence.
-
-    When the source text is given, the spans must reconstruct it (up to
-    whitespace); checked at construction time.
-    """
-
-    spans: tuple[str, ...]
-    sentence_id: str
-    sentence: str | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "spans", tuple(self.spans))
-        if not self.spans or any(not s.strip() for s in self.spans):
-            raise InvariantError(f"sequence {self.sentence_id!r} has empty spans")
-        if self.sentence is not None and _squash("".join(self.spans)) != _squash(self.sentence):
-            raise InvariantError(
-                f"spans of sequence {self.sentence_id!r} do not reconstruct the sentence"
-            )
-
-
-def accept_edu_input(sequences: list[EduSequence]) -> list[ConditionGroup]:
-    """Treat pre-segmented discourse units as conditions.
-
-    All spans of the context form one group: combinator and result are
-    left for the consumer to infer, so the group has type ``unknown``
-    and an empty result.
-    """
-    if not sequences:
-        raise InvariantError("no sequences given")
-    conditions = []
-    for sequence in sequences:
-        for span in sequence.spans:
-            conditions.append(Condition(id=f"C{len(conditions)}", text=span.strip()))
-    return [
-        ConditionGroup(
-            result_id="R0",
-            result_text="",
-            logical_type=LogicalType.UNKNOWN,
-            conditions=tuple(conditions),
-        )
-    ]
+    return groups

@@ -11,12 +11,18 @@ from __future__ import annotations
 import json
 import logging
 import os
+import re
 from dataclasses import KW_ONLY, dataclass, field
 from typing import Callable, Iterable, Iterator
 
 from .errors import InvariantError, ToolkitError
 
 logger = logging.getLogger(__name__)
+
+# A JSON escape of a UTF-16 surrogate. Only lines that hold one are
+# checked for a lone surrogate, which no UTF-8 output can encode. Testing
+# for a backslash first keeps the slower scan off most clean lines.
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
 
 
 def undecodable(source, exc: UnicodeDecodeError) -> InvariantError:
@@ -29,7 +35,8 @@ class JsonlReader:
     """The records of one JSONL stream, read under one fault policy.
 
     Lines are numbered from 1 and blank lines are ignored. Every other
-    line must hold a JSON object, which ``parse`` turns into the record
+    line must hold a JSON object, with no lone surrogate escape (such as
+    ``"\\ud800"``) in its strings, which ``parse`` turns into the record
     that is yielded; ``parse`` rejects an object by raising
     ``ValueError`` or a :class:`ToolkitError`. Each fault is reported as
     ``source:line: reason``. The ``strict`` policy raises
@@ -68,6 +75,12 @@ class JsonlReader:
                 if not isinstance(raw, dict):
                     self._fault(line_no, "not a JSON object")
                     continue
+                if "\\" in line and _SURROGATE_ESCAPE.search(line):
+                    try:
+                        json.dumps(raw, ensure_ascii=False).encode("utf-8")
+                    except UnicodeEncodeError:
+                        self._fault(line_no, "lone surrogate escape in a string")
+                        continue
                 try:
                     record = self.parse(raw)
                 except (ValueError, ToolkitError) as exc:

@@ -6,6 +6,7 @@ import logging
 import os
 import subprocess
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -161,7 +162,8 @@ def test_solve_fuzz_stdin(text):
 
 # Lines that are not a usable templates.jsonl record.
 _bad_lines = st.one_of(
-    st.sampled_from(["[1, 2]", "{", "1", '"x"', "{}", '{"dsl": 1}', '{"template_id": 5, "dsl": "If"}']),
+    st.sampled_from(["[1, 2]", "{", "1", '"x"', "{}", '{"dsl": 1}', '{"template_id": 5, "dsl": "If"}',
+                     '{"template_id": "T\\ud800", "dsl": "If"}']),
     st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\r\n")).filter(str.strip),
 )
 _records = st.one_of(
@@ -267,6 +269,54 @@ def test_solve_out_may_not_name_the_input(tmp_path, capsys, spelling):
     assert out == ""
     assert err == f"error: verdicts would overwrite the input file {str(path)!r}\n"
     assert path.read_bytes() == before
+
+
+def test_solve_lone_surrogate_exits_one(tmp_path, capsys):
+    # JSON accepts the escape, but no UTF-8 output can hold the string.
+    path = tmp_path / "templates.jsonl"
+    good = json.dumps({"template_id": "T000", "dsl": REFERENCE_TEMPLATE})
+    path.write_text(f"{good}\n" + '{"template_id": "T\\ud800", "dsl": "If"}\n', encoding="utf-8")
+    out_path = tmp_path / "verdicts.jsonl"
+    code, out, err = run(capsys, "solve", "--file", str(path), "--out", str(out_path))
+    assert code == 1
+    assert err == f"error: {path}:2: lone surrogate escape in a string\n"
+    assert out == "T000: entailed, if C1\n"
+    assert len(out_path.read_text(encoding="utf-8").splitlines()) == 1
+
+
+def test_solve_keeps_line_numbers_after_leading_blank_lines(tmp_path, capsys):
+    path = tmp_path / "templates.jsonl"
+    path.write_text("\n  \n" + json.dumps({"template_id": "T000", "dsl": REFERENCE_TEMPLATE}) + "\n[1]\n",
+                    encoding="utf-8")
+    code, out, err = run(capsys, "solve", "--file", str(path))
+    assert code == 1
+    assert out == "T000: entailed, if C1\n"
+    assert err == f"error: {path}:4: not a JSON object\n"
+
+
+def _peak_traced_bytes(argv):
+    """The tracemalloc peak of one in-process CLI run, with stdout discarded."""
+    with open(os.devnull, "w", encoding="utf-8") as sink, contextlib.redirect_stdout(sink):
+        tracemalloc.start()
+        try:
+            code = cli.main(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    return peak
+
+
+def test_solve_memory_does_not_grow_with_the_input(tmp_path):
+    def peak(n):
+        path = tmp_path / f"templates-{n}.jsonl"
+        path.write_text("".join(json.dumps({"template_id": f"T{i:05d}", "dsl": REFERENCE_TEMPLATE}) + "\n"
+                                for i in range(n)), encoding="utf-8")
+        return _peak_traced_bytes(["solve", "--file", str(path), "--out", str(tmp_path / "verdicts.jsonl")])
+
+    peak(1600)  # fill the caches and free lists a first run leaves behind
+    small, large = peak(400), peak(1600)
+    assert large < 1.5 * small, (small, large)
 
 
 # --- generate ------------------------------------------------------------------
@@ -409,6 +459,35 @@ def test_parse_context_empty_input_exits_one(tmp_path, capsys):
     assert "no usable elements" in err
 
 
+@pytest.mark.parametrize("spelling", ["same", "dotdot"])
+def test_parse_context_out_may_not_name_the_input(tmp_path, capsys, spelling):
+    page = tmp_path / "page.jsonl"
+    page.write_text("".join(json.dumps(r) + "\n" for r in _PORTABLE_PAGE[:5]), encoding="utf-8")
+    before = page.read_bytes()
+    out_path = str(page) if spelling == "same" else os.path.join(tmp_path, "..", tmp_path.name, page.name)
+    code, out, err = run(capsys, "parse-context", "--in", str(page), "--out", out_path)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: groups would overwrite the input file {str(page)!r}\n"
+    assert page.read_bytes() == before
+
+
+def test_parse_context_memory_does_not_grow_with_the_page(tmp_path):
+    section = [("h1", "Section {i}"), ("p", "Read this first {i}."), ("p", "You qualify if {i}:"), ("li", "one {i}"),
+               ("li", "two {i}"), ("h2", "Fees {i}"), ("p", "Pay {i}."), ("p", "Half {i}."), ("tr", "Row {i}")]
+
+    def peak(n_sections):
+        page = tmp_path / f"page-{n_sections}.jsonl"
+        page.write_text("".join(json.dumps({"tag": tag, "text": text.format(i=i)}) + "\n"
+                                for i in range(n_sections) for tag, text in section), encoding="utf-8")
+        argv = ["parse-context", "--in", str(page), "--out", str(tmp_path / "groups.jsonl"), "--stats"]
+        return _peak_traced_bytes(argv)
+
+    peak(500)  # fill the caches and free lists a first run leaves behind
+    small, large = peak(125), peak(500)
+    assert large < 1.5 * small, (small, large)
+
+
 class _Warnings(logging.Handler):
     """The messages condlogic logs while installed."""
 
@@ -427,7 +506,10 @@ class _Warnings(logging.Handler):
         logging.getLogger("condlogic").removeHandler(self)
 
 
-_page_words = st.lists(st.sampled_from(["Apply", "in", "person", "fee", "\u00e9t\u00e9", "1200"]),
+# A surrogate pair and a backslash before "ud800" are valid text that the
+# reader's surrogate check must let through.
+_page_words = st.lists(st.sampled_from(["Apply", "in", "person", "fee", "\u00e9t\u00e9", "1200", "\U0001f600",
+                                        "\\ud800"]),
                        min_size=1, max_size=4).map(" ".join)
 # Each page line as (kind, text); a "skip" line carries the reason it is skipped for.
 _page_lines = st.one_of(
@@ -441,6 +523,8 @@ _page_lines = st.one_of(
         lambda text: ("skip", f'{{"tag": "p", "text": {text}}}', "text is not a string")
     ),
     st.sampled_from(["[1, 2]", "1", '"x"', "null"]).map(lambda line: ("skip", line, "not a JSON object")),
+    st.sampled_from(['{"tag": "p", "text": "a\\ud800b"}', '{"text": "\\uDFFF"}', '{"tag": "li", "\\udbff": "x"}'])
+    .map(lambda line: ("skip", line, "lone surrogate escape in a string")),
     st.sampled_from(["{", "nonsense", '{"tag": "p",'])
     .map(lambda line: ("skip", line, "invalid JSON (")),
     st.sampled_from(["", "   "]).map(lambda line: ("blank", line)),
@@ -603,7 +687,7 @@ _eval_bad_lines = st.one_of(
                      '{"id": 1.5, "label": "yes"}', '{"id": true, "label": "yes"}', '{"id": null, "label": "yes"}',
                      '{"id": "x", "answers": [1]}', '{"id": "x", "answers": "yes"}',
                      '{"id": "x", "label": "yes", "unsatisfied": [true]}', '{"id": "x", "label": 1}',
-                     '{"id": "x", "label": "yes", "question": 5}']),
+                     '{"id": "x", "label": "yes", "question": 5}', '{"id": "x", "label": "y\\ud800"}']),
     st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\r\n"))
     .filter(lambda line: line.strip() and not _is_json_object(line)),
 )

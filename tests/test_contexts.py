@@ -1,4 +1,10 @@
+from __future__ import annotations
+
 import json
+from collections import Counter
+from dataclasses import dataclass, field
+from itertools import count, groupby
+from typing import Iterator
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,21 +12,128 @@ from hypothesis import given, settings, strategies as st
 from condlogic import (
     Condition,
     ConditionGroup,
-    EduSequence,
     HtmlElement,
     InvariantError,
     KNOWN_TAGS,
     LogicalType,
-    accept_edu_input,
-    build_dom_tree,
+    group_elements,
     load_html_elements,
     parse_html_context,
 )
-from condlogic.contexts import RESULT_SEPARATOR
+from condlogic.contexts import RESULT_SEPARATOR, _heading_level
+
+
+# --- the tree oracle ------------------------------------------------------------
+# The parser as it was when it built the whole tree and then walked it: the
+# reference the one-pass grouping must reproduce exactly. Elements here carry
+# their position, which the sorting oracle further down needs.
+
+@dataclass(frozen=True)
+class _Element:
+    tag: str
+    text: str
+    index: int
+
+
+@dataclass
+class DomNode:
+    """Tree node; ``element`` is ``None`` only for the synthetic root."""
+
+    element: _Element | None
+    children: list[DomNode] = field(default_factory=list)
+
+    @property
+    def is_root(self) -> bool:
+        return self.element is None
+
+
+def build_dom_tree(elements: list[_Element]) -> DomNode:
+    """Reconstruct nesting from a flat element stream.
+
+    Attachment rules: a heading closes any open headings of equal or
+    lower rank and all open non-headings; a list item attaches to the
+    nearest preceding non-li element; anything else attaches to the
+    nearest open heading (or the root).
+    """
+    root = DomNode(None)
+    # Stack of open nodes from root to the current insertion point.
+    stack: list[DomNode] = [root]
+
+    for element in elements:
+        level = _heading_level(element.tag)
+        if level is not None:
+            while not stack[-1].is_root:
+                top = stack[-1].element
+                top_level = _heading_level(top.tag)
+                if top_level is not None and top_level < level:
+                    break
+                stack.pop()
+        elif element.tag == "li":
+            if not stack[-1].is_root and stack[-1].element.tag == "li":
+                stack.pop()
+        else:
+            while not stack[-1].is_root and _heading_level(stack[-1].element.tag) is None:
+                stack.pop()
+        node = DomNode(element)
+        stack[-1].children.append(node)
+        stack.append(node)
+    return root
+
+
+def _walk_groups(node: DomNode, ancestors: tuple[str, ...]) -> Iterator[tuple[list[_Element], str]]:
+    """Yield ``(leaves, result_text)`` for each run of sibling leaves, in document order.
+
+    ``ancestors`` are the texts from ``node`` up to the root.
+    """
+    for is_subtree, run in groupby(node.children, key=lambda child: bool(child.children)):
+        if is_subtree:
+            for child in run:
+                yield from _walk_groups(child, (child.element.text, *ancestors))
+        elif node.is_root:
+            # Leaves directly under the synthetic root stand alone.
+            yield from (([child.element], "") for child in run)
+        else:
+            # Sibling leaves around a subtree stay in separate groups.
+            yield [child.element for child in run], RESULT_SEPARATOR.join(ancestors)
+
+
+def _tree_groups(root: DomNode) -> Iterator[ConditionGroup]:
+    """The condition groups of a tree built by :func:`build_dom_tree`, in document order."""
+    leaf_numbers = count()
+    for gi, (leaves, result_text) in enumerate(_walk_groups(root, ())):
+        yield ConditionGroup(
+            result_id=f"R{gi}",
+            result_text=result_text,
+            logical_type=LogicalType.UNKNOWN,
+            conditions=tuple(Condition(id=f"C{next(leaf_numbers)}", text=leaf.text) for leaf in leaves),
+        )
+
+
+def _tree_leaf_depths(root: DomNode) -> Counter:
+    """The leaf depth histogram of a tree, as ``parse-context --stats`` counted it from the tree."""
+    depths: Counter = Counter()
+    stack = [(root, 0)]
+    while stack:
+        node, depth = stack.pop()
+        if not node.children and node.element is not None:
+            depths[depth] += 1
+        stack.extend((child, depth + 1) for child in node.children)
+    return depths
 
 
 def elems(*pairs):
-    return [HtmlElement(tag, text, i) for i, (tag, text) in enumerate(pairs)]
+    return [HtmlElement(tag, text) for tag, text in pairs]
+
+
+def indexed(tags):
+    return [_Element(tag, f"t{i}", i) for i, tag in enumerate(tags)]
+
+
+def oracle_tree(*pairs):
+    """The oracle's tree of the elements, checked to group as the one-pass parser does."""
+    root = build_dom_tree([_Element(tag, text, i) for i, (tag, text) in enumerate(pairs)])
+    assert parse_html_context(elems(*pairs)) == list(_tree_groups(root))
+    return root
 
 
 def shape(node):
@@ -40,9 +153,9 @@ def test_load_elements(tmp_path, caplog):
     ]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     with caplog.at_level("WARNING"):
-        elements = load_html_elements(path)
+        elements = list(load_html_elements(path))
     assert [e.tag for e in elements] == ["h1", "other", "other"]
-    assert [e.index for e in elements] == [0, 1, 2]
+    assert [e.text for e in elements] == ["Benefits", "Quoted.", "No tag."]
     assert sum("skipping" in r.message for r in caplog.records) == 2
 
 
@@ -52,16 +165,14 @@ def test_load_elements_skips_non_string_text(tmp_path, caplog, text):
     lines = [{"tag": "p", "text": text}, {"tag": "p", "text": "Kept."}, {"tag": "p"}]
     path.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
     with caplog.at_level("WARNING"):
-        elements = load_html_elements(path)
+        elements = list(load_html_elements(path))
     assert [e.text for e in elements] == ["Kept."]
     assert f"{path}:1: text is not a string, skipping" in caplog.text
     assert f"{path}:3: empty text, skipping" in caplog.text
 
 
 def test_headings_nest_by_level():
-    root = build_dom_tree(
-        elems(("h1", "A"), ("h2", "B"), ("h3", "C"), ("h2", "D"), ("h1", "E"))
-    )
+    root = oracle_tree(("h1", "A"), ("h2", "B"), ("h3", "C"), ("h2", "D"), ("h1", "E"))
     assert shape(root) == (
         "<root>",
         (
@@ -72,14 +183,12 @@ def test_headings_nest_by_level():
 
 
 def test_paragraph_closes_on_next_paragraph():
-    root = build_dom_tree(elems(("h1", "A"), ("p", "x"), ("p", "y")))
+    root = oracle_tree(("h1", "A"), ("p", "x"), ("p", "y"))
     assert shape(root) == ("<root>", (("A", (("x", ()), ("y", ()))),))
 
 
 def test_list_items_attach_to_lead_in():
-    root = build_dom_tree(
-        elems(("p", "You qualify if:"), ("li", "one"), ("li", "two"), ("p", "after"))
-    )
+    root = oracle_tree(("p", "You qualify if:"), ("li", "one"), ("li", "two"), ("p", "after"))
     assert shape(root) == (
         "<root>",
         (("You qualify if:", (("one", ()), ("two", ()))), ("after", ())),
@@ -87,7 +196,7 @@ def test_list_items_attach_to_lead_in():
 
 
 def test_heading_closes_open_list():
-    root = build_dom_tree(elems(("p", "intro"), ("li", "a"), ("h2", "B"), ("p", "x")))
+    root = oracle_tree(("p", "intro"), ("li", "a"), ("h2", "B"), ("p", "x"))
     assert shape(root) == ("<root>", (("intro", (("a", ()),)), ("B", (("x", ()),))))
 
 
@@ -155,24 +264,20 @@ _tags = st.sampled_from(KNOWN_TAGS)
 
 @given(st.lists(_tags, min_size=1, max_size=30))
 def test_every_element_lands_exactly_once(tags):
-    elements = [HtmlElement(tag, f"t{i}", i) for i, tag in enumerate(tags)]
-    root = build_dom_tree(elements)
-
-    seen = []
-
-    def walk(node):
-        if node.element is not None:
-            seen.append(node.element.index)
-        for child in node.children:
-            walk(child)
-
-    walk(root)
-    assert sorted(seen) == list(range(len(elements)))
+    # Each element is one condition, or else an ancestor named in a group's result.
+    elements = [HtmlElement(tag, f"t{i}") for i, tag in enumerate(tags)]
+    depths: Counter = Counter()
+    groups = list(group_elements(elements, depths))
+    leaves = [c.text for g in groups for c in g.conditions]
+    ancestors = {text for g in groups if g.result_text for text in g.result_text.split(RESULT_SEPARATOR)}
+    assert len(leaves) == len(set(leaves)) == sum(depths.values())
+    assert set(leaves).isdisjoint(ancestors)
+    assert set(leaves) | ancestors == {e.text for e in elements}
 
 
 @given(st.lists(_tags, min_size=1, max_size=30))
 def test_groups_partition_leaves(tags):
-    elements = [HtmlElement(tag, f"t{i}", i) for i, tag in enumerate(tags)]
+    elements = [HtmlElement(tag, f"t{i}") for i, tag in enumerate(tags)]
     groups = parse_html_context(elements)
     ids = [c.id for g in groups for c in g.conditions]
     assert len(ids) == len(set(ids))
@@ -233,44 +338,16 @@ def _oracle_tree_groups(root):
 @settings(max_examples=300)
 @given(st.lists(_tags, min_size=1, max_size=60))
 def test_grouping_matches_sorting_oracle(tags):
-    elements = [HtmlElement(tag, f"t{i}", i) for i, tag in enumerate(tags)]
+    elements = indexed(tags)
     assert parse_html_context(elements) == _oracle_tree_groups(build_dom_tree(elements))
 
 
-# --- discourse-unit input ---------------------------------------------------
-
-def test_edu_sequences_become_one_group():
-    groups = accept_edu_input(
-        [
-            EduSequence(("You may apply", "if you are enrolled"), "s0"),
-            EduSequence(("unless suspended",), "s1"),
-        ]
-    )
-    assert len(groups) == 1
-    group = groups[0]
-    assert group.logical_type is LogicalType.UNKNOWN
-    assert group.result_text == ""
-    assert [c.id for c in group.conditions] == ["C0", "C1", "C2"]
-    assert [c.text for c in group.conditions] == [
-        "You may apply",
-        "if you are enrolled",
-        "unless suspended",
-    ]
-
-
-def test_edu_reconstruction_check():
-    EduSequence(("You may apply ", "if enrolled."), "s0", "You may apply if enrolled.")
-    with pytest.raises(InvariantError):
-        EduSequence(("You may apply",), "s0", "You may apply if enrolled.")
-
-
-def test_edu_empty_spans_rejected():
-    with pytest.raises(InvariantError):
-        EduSequence((), "s0")
-    with pytest.raises(InvariantError):
-        EduSequence(("ok", "  "), "s0")
-
-
-def test_edu_no_sequences_rejected():
-    with pytest.raises(InvariantError):
-        accept_edu_input([])
+@settings(max_examples=500)
+@given(st.lists(st.sampled_from([*KNOWN_TAGS, "h1", "h2", "li", "li"]), min_size=1, max_size=80))
+def test_one_pass_matches_tree_oracle(tags):
+    # Same groups, ids and leaf depth histogram as building the tree and walking it.
+    elements = indexed(tags)
+    root = build_dom_tree(elements)
+    depths: Counter = Counter()
+    assert list(group_elements(elements, depths)) == list(_tree_groups(root))
+    assert depths == _tree_leaf_depths(root)
