@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .contexts import group_elements, load_html_elements
 from .dataset_io import SplitManifest, _sorted_ids, group_to_dict, write_split
-from .errors import InvariantError, ToolkitError
+from .errors import ToolkitError
 from .generate import (
     GenConfig,
     config_hash,
@@ -28,7 +28,7 @@ from .generate import (
     generate_templates,
     load_nli_bank,
 )
-from .jsonl import JsonlReader, _refuse_to_overwrite, undecodable, write_jsonl
+from .jsonl import JsonlReader, _refuse_to_overwrite, optional_field, str_field, undecodable, write_jsonl
 from .logic import LogicalType, TaskProfile, enumerate_assignments
 from .metrics import evaluate_files, format_report
 from .templates import _solve_valid, condition_ids, parse_template_dsl, render_template_dsl
@@ -121,14 +121,15 @@ def cmd_solve(args) -> int:
     if not (args.file or args.stdin):
         raise ToolkitError("nothing to solve: pass --file, --stdin, or --assignments")
     source = args.file or "<stdin>"
+    if not args.file and hasattr(sys.stdin, "reconfigure"):
+        # Strict UTF-8 whatever the locale, as a --file is read.
+        sys.stdin.reconfigure(encoding="utf-8", errors="strict")
 
     def solve_record(record: dict):
-        if not isinstance(record.get("dsl"), str):
-            raise InvariantError("expected an object with a string 'dsl' field")
-        template_id = record.get("template_id")
-        if template_id is not None and not isinstance(template_id, str):
-            raise InvariantError(f"template_id is not a string: {template_id!r}")
-        return template_id, parse_template_dsl(record["dsl"])
+        if "dsl" not in record:
+            raise ValueError("missing fields: dsl")
+        dsl = str_field(record["dsl"], "dsl")
+        return optional_field(record, str_field, "template_id"), parse_template_dsl(dsl)
 
     def verdict_rows(templates):
         # The parser has checked each template's rules.

@@ -26,7 +26,7 @@ from itertools import count
 from typing import Iterable, Iterator
 
 from .errors import InvariantError
-from .jsonl import JsonlReader
+from .jsonl import JsonlReader, str_field
 from .logic import Condition, ConditionGroup, LogicalType
 
 HEADING_TAGS = ("h1", "h2", "h3", "h4")
@@ -43,10 +43,7 @@ class HtmlElement:
 
 
 def _element(raw: dict) -> HtmlElement:
-    text = raw.get("text", "")
-    if not isinstance(text, str):
-        raise ValueError("text is not a string")
-    text = text.strip()
+    text = str_field(raw.get("text", ""), "text").strip()
     if not text:
         raise ValueError("empty text")
     tag = str(raw.get("tag", "other")).lower()

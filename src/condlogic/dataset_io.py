@@ -18,7 +18,7 @@ from typing import Iterable, Iterator
 
 from . import __version__
 from .generate import Example
-from .jsonl import JsonlReader, write_jsonl
+from .jsonl import JsonlReader, int_field, str_field, str_list_field, write_jsonl
 from .logic import Condition, ConditionGroup, LogicalType, TaskProfile, Verdict
 
 logger = logging.getLogger(__name__)
@@ -27,19 +27,6 @@ MANIFEST_SUFFIX = ".manifest"
 
 _CONDITION_ID_RE = re.compile(r"^C\d+$")
 _EXAMPLE_GROUP_TYPES = {"all", "any", "required"}
-
-
-# Readers check types and coerce nothing: a bool is not an integer here.
-def _string(value, name: str) -> str:
-    if not isinstance(value, str):
-        raise ValueError(f"{name} is not a string: {value!r}")
-    return value
-
-
-def _integer(value, name: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"{name} is not an integer: {value!r}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -57,11 +44,11 @@ class SplitManifest:
     def from_dict(cls, raw: dict) -> "SplitManifest":
         """Raises ``KeyError`` on a missing field and ``ValueError`` on one of the wrong type."""
         return cls(
-            split=_string(raw["split"], "split"),
-            count=_integer(raw["count"], "count"),
-            seed=_integer(raw["seed"], "seed"),
-            config_hash=_string(raw["config_hash"], "config_hash"),
-            version=_string(raw.get("version", ""), "version"),
+            split=str_field(raw["split"], "split"),
+            count=int_field(raw["count"], "count"),
+            seed=int_field(raw["seed"], "seed"),
+            config_hash=str_field(raw["config_hash"], "config_hash"),
+            version=str_field(raw.get("version", ""), "version"),
         )
 
 
@@ -109,13 +96,11 @@ def example_from_dict(raw: dict) -> Example:
     if missing:
         raise ValueError(f"missing fields: {', '.join(missing)}")
 
-    for key in ("context", "facts", "unsatisfied"):
-        if not isinstance(raw[key], list):
-            raise ValueError(f"{key} is not a list")
-    for key in ("facts", "unsatisfied"):
-        for item in raw[key]:
-            _string(item, f"{key} item")
-    seed = _integer(raw["seed"], "seed")
+    if not isinstance(raw["context"], list):
+        raise ValueError("context is not a list")
+    facts = str_list_field(raw["facts"], "facts")
+    unsatisfied = str_list_field(raw["unsatisfied"], "unsatisfied")
+    seed = int_field(raw["seed"], "seed")
     label = raw["answer_label"]
     if not isinstance(label, str) or label not in TaskProfile.CONDNLI.labels:
         raise ValueError(f"unknown answer label {label!r}")
@@ -139,29 +124,28 @@ def example_from_dict(raw: dict) -> Example:
             if not isinstance(cid, str) or not _CONDITION_ID_RE.match(cid):
                 raise ValueError(f"malformed condition id {cid!r}")
             condition_ids.add(cid)
-            conditions.append(Condition(id=cid, text=_string(cond.get("text", ""), "condition text")))
+            conditions.append(Condition(id=cid, text=str_field(cond.get("text", ""), "condition text")))
         if type_token == "required" and len(conditions) != 1:
             raise ValueError(f"required group has {len(conditions)} conditions, expected 1")
         groups.append(
             ConditionGroup(
-                result_id=_string(entry.get("result_id", ""), "result_id"),
-                result_text=_string(entry.get("result", ""), "result"),
+                result_id=str_field(entry.get("result_id", ""), "result_id"),
+                result_text=str_field(entry.get("result", ""), "result"),
                 logical_type=LogicalType(type_token),
                 conditions=tuple(conditions),
             )
         )
 
-    unsatisfied = raw["unsatisfied"]
     stray = [i for i in unsatisfied if i not in condition_ids]
     if stray:
         raise ValueError(f"unsatisfied ids name no condition: {stray}")
 
     return Example(
         context=tuple(groups),
-        facts=tuple(raw["facts"]),
-        question=_string(raw["question"], "question"),
+        facts=tuple(facts),
+        question=str_field(raw["question"], "question"),
         gold=Verdict(label, frozenset(unsatisfied)),
-        template_id=_string(raw["template_id"], "template_id"),
+        template_id=str_field(raw["template_id"], "template_id"),
         seed=seed,
     )
 

@@ -3,7 +3,8 @@
 Every JSONL input (NLI bank, tagged page, dataset split, gold and
 prediction files, templates.jsonl) goes through :class:`JsonlReader`,
 and every JSONL output through :func:`write_jsonl`, so line numbering,
-blank lines, fault wording and text encoding are decided here once.
+blank lines, fault wording, field types (:func:`str_field` and the checks
+beside it) and text encoding are decided here once.
 """
 
 from __future__ import annotations
@@ -95,6 +96,39 @@ class JsonlReader:
             raise InvariantError(f"{self.source}:{line_no}: {reason}")
         logger.warning("%s:%d: %s, skipping", self.source, line_no, reason)
         self.skipped += 1
+
+
+# Each field check returns the value as is or raises ValueError; a bool is not an integer.
+def str_field(value, name: str) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"{name} is not a string: {value!r}")
+    return value
+
+
+def int_field(value, name: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} is not an integer: {value!r}")
+    return value
+
+
+def str_list_field(value, name: str) -> list[str]:
+    if not isinstance(value, list):
+        raise ValueError(f"{name} is not a list: {value!r}")
+    for item in value:
+        if not isinstance(item, str):
+            raise ValueError(f"{name} item is not a string: {item!r}")
+    return value
+
+
+def optional_field(raw: dict, check, key: str, fallback: str | None = None):
+    """``raw[key]``, or ``raw[fallback]`` when ``raw`` lacks ``key``, passed through ``check``
+    under the key it was read from; None when ``raw`` holds neither or the value is null."""
+    if key not in raw:
+        if fallback not in raw:
+            return None
+        key = fallback
+    value = raw[key]
+    return None if value is None else check(value, key)
 
 
 def _refuse_to_overwrite(path, sources, what: str) -> None:

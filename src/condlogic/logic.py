@@ -264,21 +264,21 @@ def reference_evaluate(
 
 
 _STATE_ORDER = (EvidenceState.ENTAILED, EvidenceState.CONTRADICTED, EvidenceState.NOT_MENTIONED)
+MAX_ENUMERATION_K = 12
 
 
 def enumerate_assignments(
-    logical_type: LogicalType, k: int, max_k: int = 12
+    logical_type: LogicalType, k: int
 ) -> dict[tuple[EvidenceState, ...], tuple[GroupStatus, tuple[ConditionLabel, ...]]]:
     """Tabulate all 3**k evidence assignments for a k-condition group.
 
     The table is built with :func:`reference_evaluate` and is the oracle
-    the fast path is tested against. ``k`` is capped (3**k rows) at
-    ``max_k``.
+    the fast path is tested against; ``k`` is at most ``MAX_ENUMERATION_K``.
     """
     if k < 1:
         raise InvariantError("assignment enumeration needs at least one condition")
-    if k > max_k:
-        raise InvariantError(f"k={k} exceeds the enumeration bound of {max_k}")
+    if k > MAX_ENUMERATION_K:
+        raise InvariantError(f"k={k} exceeds the enumeration bound of {MAX_ENUMERATION_K}")
     if logical_type is LogicalType.REQUIRED and k != 1:
         raise InvariantError("required groups hold exactly one condition")
     return {

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Collection, Iterator
 
 from .errors import InvariantError
-from .jsonl import JsonlReader, _refuse_to_overwrite, write_jsonl
+from .jsonl import JsonlReader, _refuse_to_overwrite, optional_field, str_field, str_list_field, write_jsonl
 from .logic import TaskProfile
 
 logger = logging.getLogger(__name__)
@@ -207,28 +207,11 @@ class EvalReport:
     n_unmatched_predictions: int = 0
 
 
-def _str_list(value) -> list[str]:
-    if value is None:
-        return []
-    if not isinstance(value, list):
-        raise InvariantError(f"expected a list, got {type(value).__name__}")
-    for item in value:
-        if not isinstance(item, str):
-            raise InvariantError(f"expected a list of strings, found {item!r}")
-    return value
-
-
-def _opt_str(value, name: str) -> str | None:
-    if value is not None and not isinstance(value, str):
-        raise InvariantError(f"{name} must be a string, got {type(value).__name__}")
-    return value
-
-
 def _example_id(raw: dict, seen: Collection[str]) -> str:
     """A record's id as a string: its ``id`` (a string or an integer) or its position."""
     value = raw.get("id", len(seen))
     if isinstance(value, bool) or not isinstance(value, (str, int)):
-        raise InvariantError(f"id must be a string or an integer, got {type(value).__name__}")
+        raise ValueError(f"id is not a string or an integer: {value!r}")
     example_id = str(value)
     if example_id in seen:
         if "id" not in raw:
@@ -250,10 +233,10 @@ def read_gold_file(path) -> Iterator[GoldRecord]:
     def parse(raw: dict) -> GoldRecord:
         return GoldRecord(
             example_id=_example_id(raw, seen),
-            answers=tuple(_str_list(raw.get("answers"))),
-            unsatisfied=frozenset(_str_list(raw.get("unsatisfied", raw.get("conditions")))),
-            label=_opt_str(raw.get("label", raw.get("answer_label")), "label"),
-            question=_opt_str(raw.get("question"), "question"),
+            answers=tuple(optional_field(raw, str_list_field, "answers") or ()),
+            unsatisfied=frozenset(optional_field(raw, str_list_field, "unsatisfied", "conditions") or ()),
+            label=optional_field(raw, str_field, "label", "answer_label"),
+            question=optional_field(raw, str_field, "question"),
         )
 
     with open(path, encoding="utf-8") as handle:
@@ -273,17 +256,17 @@ def read_prediction_file(path) -> dict[str, Prediction]:
 
     def parse(raw: dict) -> Prediction:
         example_id = _example_id(raw, predictions)
-        label = _opt_str(raw.get("label", raw.get("answer_label")), "label")
-        answer = _opt_str(raw.get("answer", raw.get("answer_label")), "answer")
+        label = optional_field(raw, str_field, "label", "answer_label")
+        answer = optional_field(raw, str_field, "answer", "answer_label")
         if answer is None:
-            answers = _str_list(raw.get("answers"))
+            answers = optional_field(raw, str_list_field, "answers")
             answer = answers[0] if answers else (label or "")
         return Prediction(
             example_id=example_id,
             answer_text=answer,
-            unsatisfied=frozenset(_str_list(raw.get("conditions", raw.get("unsatisfied")))),
+            unsatisfied=frozenset(optional_field(raw, str_list_field, "conditions", "unsatisfied") or ()),
             label=label,
-            question=_opt_str(raw.get("question"), "question"),
+            question=optional_field(raw, str_field, "question"),
         )
 
     with open(path, encoding="utf-8") as handle:

@@ -5,6 +5,7 @@ import json
 import logging
 import os
 import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -252,7 +253,7 @@ def test_solve_fault_leaves_verdicts_solved_before_it(tmp_path, capsys, bad_line
     assert code == 0
     code, out, err = run(capsys, "solve", "--file", str(bad), "--out", str(rows))
     assert code == 1
-    assert err == f"error: {bad}:{bad_line}: expected an object with a string 'dsl' field\n"
+    assert err == f"error: {bad}:{bad_line}: dsl is not a string: 1\n"
     assert out == "".join(all_out.splitlines(keepends=True)[: bad_line - 1])
     expected = all_rows.read_text(encoding="utf-8").splitlines(keepends=True)[: bad_line - 1]
     assert rows.read_text(encoding="utf-8") == "".join(expected)
@@ -599,7 +600,7 @@ def test_parse_context_same_bytes_on_every_python(tmp_path, minor):
     assert result.stderr == (
         f"{page}:1: not a JSON object, skipping\n"
         f"{page}:10: empty text, skipping\n"
-        f"{page}:13: text is not a string, skipping\n"
+        f"{page}:13: text is not a string: None, skipping\n"
     )
 
 
@@ -821,18 +822,24 @@ def test_evaluate_non_object_line_exits_one(tmp_path, capsys, which):
 @pytest.mark.parametrize(
     "record,fragment",
     [
-        ({"id": "0", "answer_label": 1}, "label must be a string"),
-        ({"id": "0", "answer_label": "entailed", "question": 5}, "question must be a string"),
-        ({"id": "0", "answers": "yes"}, "expected a list"),
-        ({"id": {"a": 1}, "answer_label": "entailed"}, "id must be a string or an integer, got dict"),
-        ({"id": ["0"], "answer_label": "entailed"}, "id must be a string or an integer, got list"),
-        ({"id": 0.0, "answer_label": "entailed"}, "id must be a string or an integer, got float"),
-        ({"id": True, "answer_label": "entailed"}, "id must be a string or an integer, got bool"),
-        ({"id": "0", "answers": [1, 2]}, "expected a list of strings, found 1"),
-        ({"id": "0", "answer_label": "entailed", "unsatisfied": [True]}, "expected a list of strings, found True"),
+        ({"id": "0", "answer_label": 1}, "answer_label is not a string: 1"),
+        ({"id": "0", "answer_label": "entailed", "question": 5}, "question is not a string: 5"),
+        ({"id": "0", "answers": "yes"}, "answers is not a list: 'yes'"),
+        ({"id": {"a": 1}, "answer_label": "entailed"}, "id is not a string or an integer: {'a': 1}"),
+        ({"id": ["0"], "answer_label": "entailed"}, "id is not a string or an integer: ['0']"),
+        ({"id": 0.0, "answer_label": "entailed"}, "id is not a string or an integer: 0.0"),
+        ({"id": True, "answer_label": "entailed"}, "id is not a string or an integer: True"),
+        ({"id": "0", "answers": [1, 2]}, "answers item is not a string: 1"),
+        ({"id": "0", "answer_label": "entailed", "unsatisfied": [True]}, "unsatisfied item is not a string: True"),
         ({"id": "0", "answer_label": "entailed", "conditions": ["C1", None]},
-         "expected a list of strings, found None"),
+         "conditions item is not a string: None"),
     ],
+    # Each id names the rule its record breaks.
+    ids=["record0-label must be a string", "record1-question must be a string", "record2-expected a list",
+         "record3-id must be a string or an integer, got dict", "record4-id must be a string or an integer, got list",
+         "record5-id must be a string or an integer, got float", "record6-id must be a string or an integer, got bool",
+         "record7-expected a list of strings, found 1", "record8-expected a list of strings, found True",
+         "record9-expected a list of strings, found None"],
 )
 def test_evaluate_bad_field_type_exits_one(tmp_path, capsys, record, fragment):
     good = tmp_path / "good.jsonl"
@@ -852,7 +859,7 @@ def test_evaluate_prediction_answer_must_be_a_string(tmp_path, capsys):
     pred.write_text(json.dumps({"id": "0", "answer": 5}) + "\n", encoding="utf-8")
     code, _, err = run(capsys, "evaluate", "--pred", str(pred), "--gold", str(gold), "--profile", "conditionalqa")
     assert code == 1
-    assert f"{pred}:1: answer must be a string, got int" in err
+    assert f"{pred}:1: answer is not a string: 5" in err
 
 
 def test_evaluate_non_utf8_exits_one(tmp_path, capsys):
@@ -883,6 +890,36 @@ def test_non_utf8_input_names_the_file(tmp_path, capsys, monkeypatch, command):
     assert f"error: {name}: not UTF-8 text" in err
 
 
+_GOOD_RECORD = json.dumps({"template_id": "T000", "dsl": REFERENCE_TEMPLATE}).encode("utf-8")
+_BAD_RECORD = b'{"template_id": "T\xff", "dsl": ' + json.dumps(REFERENCE_TEMPLATE).encode("utf-8") + b"}"
+
+
+@pytest.mark.parametrize("locale", [{"PYTHONUTF8": "1"}, {"LC_ALL": "C"}], ids=["PYTHONUTF8=1", "LC_ALL=C"])
+@pytest.mark.parametrize(
+    "stdin,out",
+    [
+        (_GOOD_RECORD + b"\n" + _BAD_RECORD + b"\n", False),
+        (_GOOD_RECORD + b"\n" + _BAD_RECORD + b"\n", True),
+        (_BAD_RECORD + b"\n" + _GOOD_RECORD + b"\n", True),
+        (REFERENCE_TEMPLATE.encode("utf-8").replace(b"Facts: a", b"Facts: \xff"), False),
+    ],
+    ids=["templates", "templates-out", "templates-out-first-line", "plain"],
+)
+def test_solve_stdin_pipe_must_be_utf8(tmp_path, locale, stdin, out):
+    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONUTF8", "LC_ALL", "LC_CTYPE", "LANG")}
+    env.update(locale, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    out_path = tmp_path / "verdicts.jsonl"
+    argv = [sys.executable, "-m", "condlogic.cli", "solve", "--stdin", *(["--out", str(out_path)] if out else [])]
+    result = subprocess.run(argv, input=stdin, env=env, capture_output=True, timeout=60)
+    assert result.returncode == 1
+    err = result.stderr.decode("utf-8", errors="replace")
+    assert "Traceback" not in err
+    assert err.startswith("error: <stdin>: not UTF-8 text (") and err.endswith(")\n")
+    assert err.count("\n") == 1
+    if b"\xff" in stdin.split(b"\n")[0]:
+        assert not out_path.exists()
+
+
 def test_parse_context_skips_non_object_line(tmp_path, capsys, caplog):
     infile = tmp_path / "doc.jsonl"
     infile.write_text('[1,2]\n{"tag": "p", "text": "You must apply."}\n', encoding="utf-8")
@@ -896,9 +933,9 @@ def test_parse_context_skips_non_object_line(tmp_path, capsys, caplog):
 @pytest.mark.parametrize(
     "line,fragment",
     [
-        ('{"dsl": 1}', "expected an object with a string 'dsl' field"),
+        ('{"dsl": 1}', "dsl is not a string: 1"),
         ("[1, 2]", "not a JSON object"),
-        ('{"template_id": "T000"}', "expected an object with a string 'dsl' field"),
+        ('{"template_id": "T000"}', "missing fields: dsl"),
         (
             json.dumps({"template_id": "T001", "dsl": REFERENCE_TEMPLATE.replace("If all", "If both")}),
             "line 1, column 4: unknown operator 'both'",

@@ -167,7 +167,7 @@ def test_load_elements_skips_non_string_text(tmp_path, caplog, text):
     with caplog.at_level("WARNING"):
         elements = list(load_html_elements(path))
     assert [e.text for e in elements] == ["Kept."]
-    assert f"{path}:1: text is not a string, skipping" in caplog.text
+    assert f"{path}:1: text is not a string: {text!r}, skipping" in caplog.text
     assert f"{path}:3: empty text, skipping" in caplog.text
 
 

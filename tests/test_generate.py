@@ -99,6 +99,13 @@ def test_sample_missing_bucket_raises(tmp_path):
     assert bank.sample_any(random.Random(0)).label == "neutral"
 
 
+def test_sample_any_on_an_empty_bank_raises():
+    import random
+
+    with pytest.raises(BankError, match="^bank 'p' is empty$"):
+        NliBank("p", {}).sample_any(random.Random(0))
+
+
 # --- configuration ----------------------------------------------------------
 
 @pytest.mark.parametrize(

@@ -2,13 +2,18 @@ import io
 import json
 import logging
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from condlogic import cli
+from condlogic.contexts import load_html_elements
+from condlogic.dataset_io import manifest_path, read_manifest, read_split
 from condlogic.errors import InvariantError
 from condlogic.jsonl import JsonlReader, write_jsonl
+from conftest import REFERENCE_TEMPLATE
 
 SOURCE = "f.jsonl"
 
@@ -112,3 +117,73 @@ def test_write_jsonl_round_trip(tmp_path):
     assert "café" in path.read_text(encoding="utf-8")
     with open(path, encoding="utf-8") as handle:
         assert list(JsonlReader(handle, path, dict, strict=True)) == records
+
+
+# --- one wording for a field of the wrong type, under every reader's policy ----
+
+# A valid record for each reader that checks field types.
+_VALID = {
+    "split": {"template_id": "T0", "seed": 1, "facts": ["a"], "question": "q", "answer_label": "entailed",
+              "unsatisfied": [], "context": [{"result_id": "R0", "result": "r", "type": "all",
+                                              "conditions": [{"id": "C0", "text": "c"}]}]},
+    "manifest": {"split": "dev", "count": 1, "seed": 1, "config_hash": "h"},
+    "page": {"tag": "p", "text": "t"},
+    "gold": {"answer_label": "entailed", "question": "q"},
+    "pred": {"answer": "a", "question": "q"},
+    "templates": {"template_id": "T0", "dsl": REFERENCE_TEMPLATE},
+}
+
+# Each reader with one wrong-typed field (string, integer, list, list item, and a
+# fallback key the evaluate readers read) and the reason it must report.
+_WRONG_TYPED = [
+    ("split", {"question": 5}, "question is not a string: 5"),
+    ("split", {"seed": "1"}, "seed is not an integer: '1'"),
+    ("split", {"facts": "a"}, "facts is not a list: 'a'"),
+    ("split", {"unsatisfied": [1]}, "unsatisfied item is not a string: 1"),
+    ("manifest", {"split": 5}, "split is not a string: 5"),
+    ("manifest", {"count": True}, "count is not an integer: True"),
+    ("page", {"text": 5}, "text is not a string: 5"),
+    ("gold", {"question": ["q"]}, "question is not a string: ['q']"),
+    ("gold", {"answer_label": 5}, "answer_label is not a string: 5"),
+    ("gold", {"answers": "a"}, "answers is not a list: 'a'"),
+    ("gold", {"conditions": 5}, "conditions is not a list: 5"),
+    ("gold", {"unsatisfied": [None]}, "unsatisfied item is not a string: None"),
+    ("pred", {"answer": 5}, "answer is not a string: 5"),
+    ("pred", {"answer_label": 5}, "answer_label is not a string: 5"),
+    ("pred", {"conditions": "C0"}, "conditions is not a list: 'C0'"),
+    ("pred", {"unsatisfied": [True]}, "unsatisfied item is not a string: True"),
+    ("templates", {"dsl": 5}, "dsl is not a string: 5"),
+    ("templates", {"template_id": 5}, "template_id is not a string: 5"),
+]
+
+
+@pytest.mark.parametrize(
+    "reader,fields,reason", _WRONG_TYPED, ids=[f"{reader}-{field}" for reader, (field,), _ in _WRONG_TYPED]
+)
+def test_reader_reports_a_wrong_typed_field_in_one_wording(tmp_path, capsys, caplog, reader, fields, reason):
+    good, bad = tmp_path / "good.jsonl", tmp_path / "bad.jsonl"
+    good.write_text(json.dumps(_VALID[reader]) + "\n", encoding="utf-8")
+    # The bad file holds the valid record on line 1 and the wrong-typed one on line 2.
+    bad.write_text(json.dumps(_VALID[reader]) + "\n" + json.dumps({**_VALID[reader], **fields}) + "\n",
+                   encoding="utf-8")
+    with caplog.at_level("WARNING"):
+        if reader == "manifest":
+            # Tolerant: the sidecar is ignored.
+            Path(manifest_path(good)).write_text(json.dumps({**_VALID[reader], **fields}), encoding="utf-8")
+            assert read_manifest(good) is None
+            assert caplog.messages == [f"{manifest_path(good)}: invalid manifest (ValueError: {reason}), ignoring"]
+        elif reader in ("split", "page"):
+            # Tolerant: the line is skipped.
+            read = read_split if reader == "split" else load_html_elements
+            assert len(list(read(bad))) == 1
+            assert caplog.messages == [f"{bad}:2: {reason}, skipping"]
+        else:
+            # Strict: the command exits 1.
+            argv = {
+                "gold": ["evaluate", "--pred", str(good), "--gold", str(bad), "--profile", "condnli"],
+                "pred": ["evaluate", "--pred", str(bad), "--gold", str(good), "--profile", "condnli"],
+                "templates": ["solve", "--file", str(bad)],
+            }[reader]
+            assert cli.main(argv) == 1
+            assert capsys.readouterr().err == f"error: {bad}:2: {reason}\n"
+            assert caplog.messages == []

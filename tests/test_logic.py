@@ -98,6 +98,12 @@ def test_unknown_type_rejected():
         reference_evaluate(LogicalType.UNKNOWN, (E,))
 
 
+def test_reference_required_arity_and_empty_group():
+    with pytest.raises(InvariantError, match="^required groups hold exactly one condition$"):
+        reference_evaluate(LogicalType.REQUIRED, (E, E))
+    assert reference_evaluate(LogicalType.ALL, ()) == (SAT, ())
+
+
 def test_enumerate_any_single():
     table = enumerate_assignments(LogicalType.ANY, 1)
     assert table == {
@@ -195,6 +201,12 @@ def test_missing_intrinsic_relation():
         derive_answer(groups, 0, TaskProfile.YESNO)
     # A satisfied rule without a stated relation answers affirmatively.
     assert derive_answer(groups, 0, TaskProfile.SHARC) == Verdict("yes", frozenset())
+
+
+def test_unknown_intrinsic_relation_rejected():
+    groups = [make_group(LogicalType.ALL, (E,), "maybe")]
+    with pytest.raises(InvariantError, match="^unknown intrinsic relation 'maybe'$"):
+        derive_answer(groups, 0, TaskProfile.CONDNLI)
 
 
 def test_relevant_index_bounds():

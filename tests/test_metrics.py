@@ -566,6 +566,23 @@ def _mean(values) -> float | None:
     return sum(values) / len(values)
 
 
+def _str_list(value) -> list[str]:
+    if value is None:
+        return []
+    if not isinstance(value, list):
+        raise InvariantError(f"expected a list, got {type(value).__name__}")
+    for item in value:
+        if not isinstance(item, str):
+            raise InvariantError(f"expected a list of strings, found {item!r}")
+    return value
+
+
+def _opt_str(value, name: str) -> str | None:
+    if value is not None and not isinstance(value, str):
+        raise InvariantError(f"{name} must be a string, got {type(value).__name__}")
+    return value
+
+
 def _read_gold_file_list(path) -> list[GoldRecord]:
     """``read_gold_file`` as it was before it streamed: every record kept in a dict."""
     records: dict[str, GoldRecord] = {}
@@ -573,10 +590,10 @@ def _read_gold_file_list(path) -> list[GoldRecord]:
     def parse(raw: dict) -> GoldRecord:
         return GoldRecord(
             example_id=metrics_module._example_id(raw, records),
-            answers=tuple(metrics_module._str_list(raw.get("answers"))),
-            unsatisfied=frozenset(metrics_module._str_list(raw.get("unsatisfied", raw.get("conditions")))),
-            label=metrics_module._opt_str(raw.get("label", raw.get("answer_label")), "label"),
-            question=metrics_module._opt_str(raw.get("question"), "question"),
+            answers=tuple(_str_list(raw.get("answers"))),
+            unsatisfied=frozenset(_str_list(raw.get("unsatisfied", raw.get("conditions")))),
+            label=_opt_str(raw.get("label", raw.get("answer_label")), "label"),
+            question=_opt_str(raw.get("question"), "question"),
         )
 
     with open(path, encoding="utf-8") as handle:

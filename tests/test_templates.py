@@ -126,6 +126,13 @@ _Q = "Question: Is u correct?"
             "question variable 'w' does not match any premise",
         ),
         ("If all (A), then U.\nFacts: a.\n" + _Q + "\nLabel: maybe", 4, 8, "unknown label 'maybe'"),
+        ("If all (A), then U.\nFacts: a.\n" + _Q + "\nLabel:", 4, 7, "unexpected end of input, expected label"),
+        (
+            "If all (A), then U.\nFacts: a.\n" + _Q + "\nLabel: entailed, if c1",
+            4,
+            21,
+            "expected condition id, found 'c1'",
+        ),
     ],
 )
 def test_rule_fault_reported_at_token(text, line, col, message):
@@ -232,6 +239,27 @@ def test_solve_negated_fact_satisfies_negated_condition():
 def test_validate_template_rejects(template):
     with pytest.raises(InvariantError):
         validate_template(template)
+
+
+@pytest.mark.parametrize(
+    "template,message",
+    [
+        (
+            Template((TemplateGroup(LogicalType.ALL, (VarRef("a"),), "U"),), (VarRef("a"),), "u", "entailed"),
+            "condition variable 'a' is not uppercase",
+        ),
+        (
+            Template((TemplateGroup(LogicalType.ALL, (VarRef("A"),), "u"),), (VarRef("A"),), "u", "entailed"),
+            "premise variable 'u' is not uppercase",
+        ),
+    ],
+    ids=["condition", "premise"],
+)
+def test_validate_template_rejects_lowercase_variables(template, message):
+    # The parser rejects a lowercase variable itself, so only a Template built in code reaches these checks.
+    with pytest.raises(InvariantError) as excinfo:
+        validate_template(template)
+    assert str(excinfo.value) == message
 
 
 # --- structural round-trip property ----------------------------------------
