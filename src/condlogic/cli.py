@@ -121,6 +121,9 @@ def cmd_solve(args) -> int:
     if not (args.file or args.stdin):
         raise ToolkitError("nothing to solve: pass --file, --stdin, or --assignments")
     source = args.file or "<stdin>"
+    if not args.file and sys.stdin is None:
+        # Python sets sys.stdin to None when file descriptor 0 is closed.
+        raise OSError(f"{source}: standard input is closed")
     if not args.file and hasattr(sys.stdin, "reconfigure"):
         # Strict UTF-8 whatever the locale, as a --file is read.
         sys.stdin.reconfigure(encoding="utf-8", errors="strict")
@@ -135,7 +138,8 @@ def cmd_solve(args) -> int:
         # The parser has checked each template's rules.
         for template_id, template in templates:
             verdict = _solve_valid(template)
-            ids = condition_ids(template)
+            # Most verdicts have no condition to check, so need no ids.
+            ids = condition_ids(template) if verdict.unsatisfied else {}
             unsatisfied = _sorted_ids(ids[v] for v in verdict.unsatisfied)
             line = f"{verdict.label}, if {', '.join(unsatisfied)}" if unsatisfied else verdict.label
             print(f"{template_id}: {line}" if template_id else line)

@@ -31,12 +31,13 @@ from .logic import Condition, ConditionGroup, LogicalType
 
 HEADING_TAGS = ("h1", "h2", "h3", "h4")
 KNOWN_TAGS = HEADING_TAGS + ("p", "li", "tr", "other")
+_KNOWN = frozenset(KNOWN_TAGS)
 
 #: Separator between ancestor texts in a group's result, most specific first.
 RESULT_SEPARATOR = " | "
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HtmlElement:
     tag: str
     text: str
@@ -47,7 +48,7 @@ def _element(raw: dict) -> HtmlElement:
     if not text:
         raise ValueError("empty text")
     tag = str(raw.get("tag", "other")).lower()
-    if tag not in KNOWN_TAGS:
+    if tag not in _KNOWN:
         tag = "other"
     return HtmlElement(tag=tag, text=text)
 
@@ -63,10 +64,8 @@ def load_html_elements(path) -> Iterator[HtmlElement]:
         yield from JsonlReader(handle, path, _element)
 
 
-def _heading_level(tag: str) -> int | None:
-    if tag in HEADING_TAGS:
-        return int(tag[1])
-    return None
+#: The heading level of a tag, ``None`` for a tag that is not a heading.
+_heading_level = {tag: int(tag[1]) for tag in HEADING_TAGS}.get
 
 
 class _Frame:

@@ -92,7 +92,7 @@ _PROFILE_LABELS = {
     TaskProfile.SHARC: frozenset({"yes", "no", "inquire", "irrelevant"}),
 }
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Condition:
     id: str
     text: str
@@ -100,7 +100,7 @@ class Condition:
     evidence: EvidenceState = EvidenceState.NOT_MENTIONED
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConditionGroup:
     """One result statement and the conditions guarding it."""
 
@@ -114,7 +114,7 @@ class ConditionGroup:
         object.__setattr__(self, "conditions", tuple(self.conditions))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Verdict:
     """Final answer label plus the ids of conditions still to check."""
 

@@ -51,7 +51,7 @@ from .logic import (
 TARGET_RELATIONS = ("entailed", "contradicted", "neutral", "irrelevant")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VarRef:
     """A possibly negated variable occurrence (condition slot or fact)."""
 
@@ -59,7 +59,7 @@ class VarRef:
     negated: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TemplateGroup:
     logical_type: LogicalType
     conditions: tuple[VarRef, ...]
@@ -168,24 +168,21 @@ def condition_ids(t: Template) -> dict[str, str]:
     return out
 
 
-def template_groups(t: Template) -> tuple[list[ConditionGroup], int | None]:
-    """Resolve a template's facts into evaluable condition groups.
-
-    Returns the groups (condition ids are the variable letters) and the
-    index of the group the question asks about, ``None`` when the
-    question matches no premise.
-    """
+def _resolve_groups(t: Template, asked_only: bool) -> tuple[list[ConditionGroup], int | None]:
+    """:func:`template_groups`, or with ``asked_only`` the asked group alone (index 0, or ``None``)."""
     fact_map = {
         f.var: FactRelation.CONTRADICTS if f.negated else FactRelation.SUPPORTS
         for f in t.facts
     }
     groups: list[ConditionGroup] = []
     relevant: int | None = None
-    for gi, g in enumerate(t.groups):
+    for g in t.groups:
         is_relevant = g.consequent.lower() == t.question_var
         if is_relevant:
-            relevant = gi
-        conditions = tuple(
+            relevant = len(groups)
+        elif asked_only:
+            continue
+        conditions = tuple([
             Condition(
                 id=ref.var,
                 text=f"not {ref.var}" if ref.negated else ref.var,
@@ -193,7 +190,7 @@ def template_groups(t: Template) -> tuple[list[ConditionGroup], int | None]:
                 evidence=resolve_state(ref.negated, fact_map.get(ref.var)),
             )
             for ref in g.conditions
-        )
+        ])
         intrinsic = t.target_relation if is_relevant and t.target_relation != "irrelevant" else None
         groups.append(
             ConditionGroup(
@@ -207,10 +204,21 @@ def template_groups(t: Template) -> tuple[list[ConditionGroup], int | None]:
     return groups, relevant
 
 
-def solve_template(t: Template) -> Verdict:
-    """Solve a template: resolve facts, evaluate groups, derive the answer.
+def template_groups(t: Template) -> tuple[list[ConditionGroup], int | None]:
+    """Resolve a template's facts into evaluable condition groups, all of them.
 
-    The verdict's unsatisfied set holds condition variable letters; use
+    Returns the groups (condition ids are the variable letters) and the
+    index of the group the question asks about, ``None`` when the
+    question matches no premise. Solving builds only the asked group.
+    """
+    return _resolve_groups(t, asked_only=False)
+
+
+def solve_template(t: Template) -> Verdict:
+    """Solve a template: check its rules, then derive the answer from the asked group.
+
+    The verdict is ``derive_answer(*template_groups(t), TaskProfile.CONDNLI)``.
+    Its unsatisfied set holds condition variable letters; use
     :func:`condition_ids` to map them to document-order ids.
     """
     validate_template(t)
@@ -218,8 +226,12 @@ def solve_template(t: Template) -> Verdict:
 
 
 def _solve_valid(t: Template) -> Verdict:
-    """Solve a template whose rules have already been checked."""
-    groups, relevant = template_groups(t)
+    """Solve a template whose rules have already been checked.
+
+    Only the group the question asks about decides the answer, so it is
+    the only group resolved.
+    """
+    groups, relevant = _resolve_groups(t, asked_only=True)
     return derive_answer(groups, relevant, TaskProfile.CONDNLI)
 
 

@@ -920,6 +920,17 @@ def test_solve_stdin_pipe_must_be_utf8(tmp_path, locale, stdin, out):
         assert not out_path.exists()
 
 
+def test_solve_stdin_closed_exits_two(tmp_path, capsys, monkeypatch):
+    # With file descriptor 0 closed, Python sets sys.stdin to None.
+    monkeypatch.setattr("sys.stdin", None)
+    out_path = tmp_path / "verdicts.jsonl"
+    code, out, err = run(capsys, "solve", "--stdin", "--out", str(out_path))
+    assert code == 2
+    assert err == "error: <stdin>: standard input is closed\n"
+    assert "Traceback" not in err and out == ""
+    assert not out_path.exists()
+
+
 def test_parse_context_skips_non_object_line(tmp_path, capsys, caplog):
     infile = tmp_path / "doc.jsonl"
     infile.write_text('[1,2]\n{"tag": "p", "text": "You must apply."}\n', encoding="utf-8")

@@ -1,3 +1,4 @@
+import dataclasses
 from itertools import product
 
 import pytest
@@ -10,9 +11,12 @@ from condlogic import (
     EvidenceState,
     FactRelation,
     GroupStatus,
+    HtmlElement,
     InvariantError,
     LogicalType,
     TaskProfile,
+    TemplateGroup,
+    VarRef,
     Verdict,
     derive_answer,
     enumerate_assignments,
@@ -289,3 +293,33 @@ def test_enumeration_covers_all_assignments(logical_type, k):
     table = enumerate_assignments(logical_type, k)
     assert len(table) == 3**k
     assert set(table) == set(product((E, C, N), repeat=k))
+
+
+# --- the per-item records are slotted, immutable values -----------------------
+
+# A fresh record each call, a field of it and another value for that field.
+_RECORDS = {
+    "VarRef": (lambda: VarRef("A", True), "negated", False),
+    "TemplateGroup": (lambda: TemplateGroup(LogicalType.ALL, [VarRef("A"), VarRef("B", True)], "U"), "consequent", "V"),
+    "Condition": (lambda: Condition("C0", "not A", True, E), "evidence", C),
+    "ConditionGroup": (
+        lambda: ConditionGroup("R0", "U", LogicalType.ANY, [Condition("C0", "A")], "entailed"),
+        "intrinsic_relation",
+        None,
+    ),
+    "Verdict": (lambda: Verdict("entailed", {"C1"}), "label", "neutral"),
+    "HtmlElement": (lambda: HtmlElement("h2", "Eligibility"), "text", "Documents"),
+}
+
+
+@pytest.mark.parametrize("make,field,value", _RECORDS.values(), ids=list(_RECORDS))
+def test_record_is_a_slotted_immutable_value(make, field, value):
+    record = make()
+    assert not hasattr(record, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(record, field, value)
+    twin = make()
+    assert twin == record and hash(twin) == hash(record)
+    changed = dataclasses.replace(record, **{field: value})
+    assert getattr(changed, field) == value and changed != record
+    assert dataclasses.replace(changed, **{field: getattr(record, field)}) == record

@@ -1,23 +1,30 @@
+import dataclasses
+import random
 import re
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from condlogic import (
+    GenConfig,
     InvariantError,
     LogicalType,
     ParseError,
+    TaskProfile,
     Template,
     TemplateGroup,
     VarRef,
     Verdict,
     condition_ids,
+    derive_answer,
     parse_template_dsl,
     render_template_dsl,
     solve_template,
+    template_groups,
     validate_template,
 )
-from condlogic.templates import _first_fault
+from condlogic.generate import _CONSEQUENT_ALPHABET, _bijective_name, _random_template
+from condlogic.templates import TARGET_RELATIONS, _first_fault, _solve_valid
 from conftest import REFERENCE_TEMPLATE
 
 
@@ -301,7 +308,7 @@ def test_round_trip_identity(t):
 
 @given(templates())
 def test_verdict_coupled_to_group_status(t):
-    from condlogic import GroupStatus, evaluate_group, template_groups
+    from condlogic import GroupStatus, evaluate_group
 
     verdict = solve_template(t)
     groups, relevant = template_groups(t)
@@ -371,6 +378,35 @@ def test_parser_and_validator_share_rules(case):
         got = str(exc).split(": ", 1)[1]
     assert (expected is None) == (fault is None)
     assert got == expected
+
+
+# --- the asked-group solver against a solve over every group ---------------
+
+@st.composite
+def generated_templates(draw):
+    """A generator-drawn template, asked about a drawn group (or none), with
+    or without its ``Label:`` line, and parsed back from its text."""
+    config = GenConfig(
+        seed=draw(st.integers(0, 2**32 - 1)),
+        max_conditions=draw(st.integers(1, 12)),
+        distractor_range=(0, draw(st.integers(0, 4))),
+    )
+    t = _random_template(config, random.Random(config.seed))
+    target = draw(st.sampled_from(TARGET_RELATIONS))
+    if target == "irrelevant":
+        question = _bijective_name(len(t.groups), _CONSEQUENT_ALPHABET).lower()
+    else:
+        question = t.groups[draw(st.integers(0, len(t.groups) - 1))].consequent.lower()
+    text = render_template_dsl(dataclasses.replace(t, question_var=question, target_relation=target))
+    if draw(st.booleans()):
+        text = text[: text.rindex("\nLabel:")]
+    return parse_template_dsl(text)
+
+
+@settings(max_examples=300)
+@given(generated_templates())
+def test_asked_group_solver_matches_all_groups(t):
+    assert _solve_valid(t) == derive_answer(*template_groups(t), TaskProfile.CONDNLI)
 
 
 # --- differential check against the first parser ---------------------------
