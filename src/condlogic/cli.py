@@ -19,7 +19,7 @@ from itertools import chain, islice
 from pathlib import Path
 
 from .contexts import group_elements, load_html_elements
-from .dataset_io import SplitManifest, _sorted_ids, group_to_dict, write_split
+from .dataset_io import SplitManifest, _sorted_ids, group_to_dict, manifest_path, write_split
 from .errors import ToolkitError
 from .generate import (
     GenConfig,
@@ -59,13 +59,21 @@ def cmd_generate(args) -> int:
     )
     bank = load_nli_bank(args.bank)
     out_dir = Path(args.out)
+    # Each split's name and the tag its random streams derive from.
+    splits = [("dev", "dev"), ("test", "test")]
+    if args.train:
+        splits.append(("train", "train-stream"))
+    templates_path = out_dir / "templates.jsonl"
+    paths = {name: out_dir / f"{name}.jsonl" for name, _ in splits}
+    for path in (templates_path, *paths.values(), *map(manifest_path, paths.values())):
+        _refuse_to_overwrite(path, (args.bank,), f"output {Path(path).name}")
     out_dir.mkdir(parents=True, exist_ok=True)
     digest = config_hash(config)
 
     templates = generate_templates(config)
-    templates_path = out_dir / "templates.jsonl"
     records = ({"template_id": t.template_id, "dsl": render_template_dsl(t)} for t in templates)
     write_jsonl(templates_path, records)
+    print(f"templates   {len(templates):>6}  {templates_path}")
 
     histogram: Counter = Counter()
 
@@ -74,24 +82,14 @@ def cmd_generate(args) -> int:
             histogram[example.gold.label] += 1
             yield example
 
-    plan = [("dev", args.dev), ("test", args.test)]
-    if args.train:
-        plan.append(("train", args.train))
-    written = {}
-    for name, size in plan:
-        split = name if name != "train" else "train-stream"
-        stream = generate_dataset(config, bank, split)
+    for name, tag in splits:
+        stream = generate_dataset(config, bank, tag)
         if name == "train":
-            stream = islice(stream, size)
-        path = out_dir / f"{name}.jsonl"
+            stream = islice(stream, args.train)
         manifest = write_split(
-            counted(stream), path, SplitManifest(split=name, count=0, seed=args.seed, config_hash=digest)
+            counted(stream), paths[name], SplitManifest(split=name, count=0, seed=args.seed, config_hash=digest)
         )
-        written[name] = (path, manifest.count)
-
-    print(f"templates   {len(templates):>6}  {templates_path}")
-    for name, (path, count) in written.items():
-        print(f"{name:<11} {count:>6}  {path}")
+        print(f"{name:<11} {manifest.count:>6}  {paths[name]}")
     print("answer label histogram:")
     for label, count in sorted(histogram.items()):
         print(f"  {label:<13} {count}")

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from itertools import count
 from typing import Iterable, Iterator
 
-from .errors import InvariantError
 from .jsonl import JsonlReader, str_field
 from .logic import Condition, ConditionGroup, LogicalType
 
@@ -148,11 +147,3 @@ def group_elements(elements: Iterable[HtmlElement], leaf_depths: Counter | None 
     while len(stack) > 1:
         if done := close():
             yield done
-
-
-def parse_html_context(elements: Iterable[HtmlElement]) -> list[ConditionGroup]:
-    """The condition groups of an element stream, as a list: see :func:`group_elements`."""
-    groups = list(group_elements(elements))
-    if not groups:
-        raise InvariantError("cannot parse an empty element stream")
-    return groups

@@ -16,7 +16,7 @@ import logging
 import math
 import re
 import string
-from collections import Counter, defaultdict, deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Collection, Iterator
 
@@ -132,11 +132,13 @@ def label_accuracy(pred_labels: list[str], gold_labels: list[str]) -> tuple[floa
         raise InvariantError("prediction and gold label lists differ in length")
     if not gold_labels:
         raise InvariantError("cannot score an empty label list")
-    micro = sum(p == g for p, g in zip(pred_labels, gold_labels)) / len(gold_labels)
-    per_class: dict[str, list[int]] = defaultdict(list)
-    for pred, gold in zip(pred_labels, gold_labels):
-        per_class[gold].append(int(pred == gold))
-    macro = sum(sum(v) / len(v) for v in per_class.values()) / len(per_class)
+    return _accuracy(Counter(g for p, g in zip(pred_labels, gold_labels) if p == g), Counter(gold_labels))
+
+
+def _accuracy(correct: Counter, total: Counter) -> tuple[float, float]:
+    """Micro and macro accuracy from each gold label's correct and total counts, in first-seen order."""
+    micro = sum(correct.values()) / sum(total.values())
+    macro = sum(correct[gold] / n for gold, n in total.items()) / len(total)
     return micro, macro
 
 
@@ -275,10 +277,6 @@ def read_prediction_file(path) -> dict[str, Prediction]:
     return predictions
 
 
-def _predicted_label(pred: Prediction) -> str:
-    return pred.label if pred.label is not None else pred.answer_text
-
-
 def score_example(pred: Prediction | None, gold: GoldRecord, *, with_bleu: bool = True) -> dict:
     """Per-example scores; a missing prediction scores as empty.
 
@@ -303,7 +301,8 @@ def score_example(pred: Prediction | None, gold: GoldRecord, *, with_bleu: bool 
         "bleu4": None,
     }
     if gold.label is not None:
-        row["label_correct"] = int(_predicted_label(pred) == gold.label)
+        # A prediction without a label is judged by its answer text.
+        row["label_correct"] = int((pred.label if pred.label is not None else pred.answer_text) == gold.label)
     if with_bleu and gold.question is not None:
         pred_question = pred.question or ""
         row["bleu1"] = bleu(pred_question, gold.question, 1)
@@ -328,8 +327,7 @@ def evaluate_files(pred_path, gold_path, profile: TaskProfile, per_example_path=
     columns = ("em", "f1", "conditional_em", "conditional_f1", "condition_p", "condition_r", "condition_f1")
     sums = dict.fromkeys(columns + ("bleu1", "bleu4"), 0.0)
     n = matched = n_bleu = 0
-    pred_labels, gold_labels = [], []
-    empty = Prediction(example_id="")
+    correct, total = Counter(), Counter()  # rows per gold label: correct ones, all
 
     def scored_rows():
         nonlocal n, matched, n_bleu
@@ -345,8 +343,8 @@ def evaluate_files(pred_path, gold_path, profile: TaskProfile, per_example_path=
                 sums["bleu1"] += row["bleu1"]
                 sums["bleu4"] += row["bleu4"]
             if gold.label is not None:
-                pred_labels.append(_predicted_label(pred or empty))
-                gold_labels.append(gold.label)
+                total[gold.label] += 1
+                correct[gold.label] += row["label_correct"]
             yield row
 
     if per_example_path is None:
@@ -357,7 +355,7 @@ def evaluate_files(pred_path, gold_path, profile: TaskProfile, per_example_path=
         raise InvariantError(f"gold file {gold_path!r} holds no records")
     if len(predictions) > matched:
         logger.warning("%d prediction(s) match no gold example", len(predictions) - matched)
-    micro, macro = label_accuracy(pred_labels, gold_labels) if gold_labels else (None, None)
+    micro, macro = _accuracy(correct, total) if total else (None, None)
     return EvalReport(
         **{column: sums[column] / n for column in columns},
         micro_acc=micro,

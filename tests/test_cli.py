@@ -394,6 +394,25 @@ def test_generate_negative_train_exits_one_before_writing(capsys, bank_path, tmp
     assert list(out_dir.iterdir()) == []
 
 
+@pytest.mark.parametrize("name,spelling", [
+    ("dev.jsonl", "same"), ("test.jsonl.manifest", "dotdot"), ("train.jsonl", "same"),
+])
+def test_generate_may_not_overwrite_the_bank(tmp_path, capsys, bank_path, name, spelling):
+    out_dir = tmp_path / "data"
+    out_dir.mkdir()
+    bank = out_dir / name
+    bank.write_bytes(bank_path.read_bytes())
+    before = bank.read_bytes()
+    out = str(out_dir) if spelling == "same" else os.path.join(tmp_path, "..", tmp_path.name, "data")
+    code, stdout, err = run(capsys, "generate", "--bank", str(bank), "--out", out, "--seed", "1",
+                            "--templates", "5", "--dev", "10", "--test", "10", "--train", "5")
+    assert code == 1
+    assert stdout == ""
+    assert err == f"error: output {name} would overwrite the input file {str(bank)!r}\n"
+    assert bank.read_bytes() == before
+    assert list(out_dir.iterdir()) == [bank]
+
+
 # --- parse-context ---------------------------------------------------------------
 
 def test_parse_context(tmp_path, capsys):

@@ -13,12 +13,10 @@ from condlogic import (
     Condition,
     ConditionGroup,
     HtmlElement,
-    InvariantError,
     KNOWN_TAGS,
     LogicalType,
     group_elements,
     load_html_elements,
-    parse_html_context,
 )
 from condlogic.contexts import RESULT_SEPARATOR, _heading_level
 
@@ -132,7 +130,7 @@ def indexed(tags):
 def oracle_tree(*pairs):
     """The oracle's tree of the elements, checked to group as the one-pass parser does."""
     root = build_dom_tree([_Element(tag, text, i) for i, (tag, text) in enumerate(pairs)])
-    assert parse_html_context(elems(*pairs)) == list(_tree_groups(root))
+    assert list(group_elements(elems(*pairs))) == list(_tree_groups(root))
     return root
 
 
@@ -200,13 +198,12 @@ def test_heading_closes_open_list():
     assert shape(root) == ("<root>", (("intro", (("a", ()),)), ("B", (("x", ()),))))
 
 
-def test_parse_empty_raises():
-    with pytest.raises(InvariantError):
-        parse_html_context([])
+def test_empty_stream_has_no_groups():
+    assert list(group_elements([])) == []
 
 
 def test_flat_document_singleton_groups():
-    groups = parse_html_context(elems(("p", "First."), ("p", "Second.")))
+    groups = list(group_elements(elems(("p", "First."), ("p", "Second."))))
     assert len(groups) == 2
     for gi, group in enumerate(groups):
         assert group.result_id == f"R{gi}"
@@ -217,7 +214,7 @@ def test_flat_document_singleton_groups():
 
 
 def test_nested_document_groups():
-    groups = parse_html_context(
+    groups = list(group_elements(
         elems(
             ("h1", "Eligibility"),
             ("h2", "Students"),
@@ -227,7 +224,7 @@ def test_nested_document_groups():
             ("h2", "Veterans"),
             ("p", "Served 2 years."),
         )
-    )
+    ))
     # only nodes with direct leaf children yield groups
     by_result = {g.result_text: g for g in groups}
     assert set(by_result) == {
@@ -242,9 +239,9 @@ def test_nested_document_groups():
 
 
 def test_sibling_leaves_around_subtree_split():
-    groups = parse_html_context(
+    groups = list(group_elements(
         elems(("h1", "T"), ("p", "before"), ("h2", "S"), ("p", "inner"), ("h2", "S2"))
-    )
+    ))
     texts = [[c.text for c in g.conditions] for g in groups]
     assert ["before"] in texts
     assert ["inner"] in texts
@@ -252,9 +249,9 @@ def test_sibling_leaves_around_subtree_split():
 
 
 def test_groups_in_document_order():
-    groups = parse_html_context(
+    groups = list(group_elements(
         elems(("p", "alpha"), ("h1", "H"), ("p", "beta"), ("p", "gamma"))
-    )
+    ))
     first_texts = [g.conditions[0].text for g in groups]
     assert first_texts == ["alpha", "beta"]
 
@@ -278,7 +275,7 @@ def test_every_element_lands_exactly_once(tags):
 @given(st.lists(_tags, min_size=1, max_size=30))
 def test_groups_partition_leaves(tags):
     elements = [HtmlElement(tag, f"t{i}") for i, tag in enumerate(tags)]
-    groups = parse_html_context(elements)
+    groups = list(group_elements(elements))
     ids = [c.id for g in groups for c in g.conditions]
     assert len(ids) == len(set(ids))
     assert all(g.logical_type is LogicalType.UNKNOWN for g in groups)
@@ -339,7 +336,7 @@ def _oracle_tree_groups(root):
 @given(st.lists(_tags, min_size=1, max_size=60))
 def test_grouping_matches_sorting_oracle(tags):
     elements = indexed(tags)
-    assert parse_html_context(elements) == _oracle_tree_groups(build_dom_tree(elements))
+    assert list(group_elements(elements)) == _oracle_tree_groups(build_dom_tree(elements))
 
 
 @settings(max_examples=500)

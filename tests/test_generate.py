@@ -331,12 +331,18 @@ def test_sample_any_matches_bucket_walk():
 # --- compiled plans -----------------------------------------------------------
 
 # sha256 of the files `condlogic generate` writes for the conftest bank
-# (60 records), seed 7, 10 templates, 300 dev + 300 test examples. They
-# pin byte-identical output across changes to generation.
+# (60 records), seed 7, 10 templates, 300 dev + 300 test + 50 train
+# examples, with each split's manifest. They pin byte-identical output
+# across changes to generation; the train split's seed tag is
+# ``train-stream``.
 GOLDEN_DIGESTS = {
     "templates.jsonl": "003232617dbc67374b95bd554387ea0776ef07fea974042a4dd07cd3567abd93",
     "dev.jsonl": "02d4fd58ba8a25632c39e56e9ce5955f9a33f5921aee4cc33be1344ceb203a5b",
     "test.jsonl": "6bd7f63b06b566731a4a5e5c99d02a732aafb642a21a59c627a4badf3cff0e24",
+    "train.jsonl": "1f63d7d0e28cd07b177822e688175eced9056502c43c075df18f274bd4aa9b38",
+    "dev.jsonl.manifest": "b31d59c12dc60540c689b71e018614f92fdfbd1809c486b3da9492017ccfc2c8",
+    "test.jsonl.manifest": "674ed580cced1ccd14fee83dfcca912a196e3522ac364756d75ae592c56d1f82",
+    "train.jsonl.manifest": "3c98fa9866639c2bb9a262090c0df6415251aeeea54210acd406c859b7119e1a",
 }
 
 
@@ -345,7 +351,7 @@ def test_generate_golden_digests(tmp_path, bank_path, capsys):
 
     out_dir = tmp_path / "data"
     argv = ["generate", "--bank", str(bank_path), "--out", str(out_dir), "--seed", "7",
-            "--templates", "10", "--dev", "300", "--test", "300"]
+            "--templates", "10", "--dev", "300", "--test", "300", "--train", "50"]
     assert cli.main(argv) == 0
     capsys.readouterr()
     digests = {
@@ -364,8 +370,8 @@ def test_generate_same_bytes_on_every_python(tmp_path, bank_path, minor):
     if not pythons:
         pytest.skip(f"no Python {minor} under {_PYENV_VERSIONS}")
     out_dir = tmp_path / "data"
-    argv = [str(pythons[-1]), "-m", "condlogic.cli", "generate", "--bank", str(bank_path),
-            "--out", str(out_dir), "--seed", "7", "--templates", "10", "--dev", "300", "--test", "300"]
+    argv = [str(pythons[-1]), "-m", "condlogic.cli", "generate", "--bank", str(bank_path), "--out", str(out_dir),
+            "--seed", "7", "--templates", "10", "--dev", "300", "--test", "300", "--train", "50"]
     src = Path(__file__).resolve().parent.parent / "src"
     result = subprocess.run(
         argv, env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=60
