@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-from collections import Counter, deque
+from collections import Counter
 from contextlib import closing, nullcontext
 from itertools import chain, islice
 from pathlib import Path
@@ -28,7 +28,7 @@ from .generate import (
     generate_templates,
     load_nli_bank,
 )
-from .jsonl import JsonlReader, _refuse_to_overwrite, optional_field, str_field, undecodable, write_jsonl
+from .jsonl import JsonlReader, _refuse_to_overwrite, jsonl_writer, optional_field, str_field, undecodable, write_jsonl
 from .logic import LogicalType, TaskProfile, enumerate_assignments
 from .metrics import evaluate_files, format_report
 from .templates import _solve_valid, condition_ids, parse_template_dsl, render_template_dsl
@@ -67,10 +67,14 @@ def cmd_generate(args) -> int:
     paths = {name: out_dir / f"{name}.jsonl" for name, _ in splits}
     for path in (templates_path, *paths.values(), *map(manifest_path, paths.values())):
         _refuse_to_overwrite(path, (args.bank,), f"output {Path(path).name}")
+    # Making the templates and the split streams checks the config and the bank, before anything is written.
+    templates = generate_templates(config)
+    streams = {name: generate_dataset(config, bank, tag) for name, tag in splits}
+    if args.train:
+        streams["train"] = islice(streams["train"], args.train)
     out_dir.mkdir(parents=True, exist_ok=True)
     digest = config_hash(config)
 
-    templates = generate_templates(config)
     records = ({"template_id": t.template_id, "dsl": render_template_dsl(t)} for t in templates)
     write_jsonl(templates_path, records)
     print(f"templates   {len(templates):>6}  {templates_path}")
@@ -82,10 +86,7 @@ def cmd_generate(args) -> int:
             histogram[example.gold.label] += 1
             yield example
 
-    for name, tag in splits:
-        stream = generate_dataset(config, bank, tag)
-        if name == "train":
-            stream = islice(stream, args.train)
+    for name, stream in streams.items():
         manifest = write_split(
             counted(stream), paths[name], SplitManifest(split=name, count=0, seed=args.seed, config_hash=digest)
         )
@@ -132,17 +133,6 @@ def cmd_solve(args) -> int:
         dsl = str_field(record["dsl"], "dsl")
         return optional_field(record, str_field, "template_id"), parse_template_dsl(dsl)
 
-    def verdict_rows(templates):
-        # The parser has checked each template's rules.
-        for template_id, template in templates:
-            verdict = _solve_valid(template)
-            # Most verdicts have no condition to check, so need no ids.
-            ids = condition_ids(template) if verdict.unsatisfied else {}
-            unsatisfied = _sorted_ids(ids[v] for v in verdict.unsatisfied)
-            line = f"{verdict.label}, if {', '.join(unsatisfied)}" if unsatisfied else verdict.label
-            print(f"{template_id}: {line}" if template_id else line)
-            yield {"template_id": template_id, "answer_label": verdict.label, "unsatisfied": unsatisfied}
-
     with open(args.file, encoding="utf-8") if args.file else nullcontext(sys.stdin) as handle:
         # Lines up to the first one with text, whose first character tells a
         # templates.jsonl file from one plain template.
@@ -165,10 +155,16 @@ def cmd_solve(args) -> int:
             templates = JsonlReader(chain(head, handle), source, solve_record, strict=True)
         else:
             templates = [(None, parse_template_dsl(text))]
-        if args.out:
-            write_jsonl(args.out, verdict_rows(templates))
-        else:
-            deque(verdict_rows(templates), maxlen=0)
+        with jsonl_writer(args.out or None) as write:  # an empty --out writes nothing, as no --out
+            # The parser has checked each template's rules.
+            for template_id, template in templates:
+                verdict = _solve_valid(template)
+                # Most verdicts have no condition to check, so need no ids.
+                ids = condition_ids(template) if verdict.unsatisfied else {}
+                unsatisfied = _sorted_ids(ids[v] for v in verdict.unsatisfied)
+                line = f"{verdict.label}, if {', '.join(unsatisfied)}" if unsatisfied else verdict.label
+                print(f"{template_id}: {line}" if template_id else line)
+                write({"template_id": template_id, "answer_label": verdict.label, "unsatisfied": unsatisfied})
     return 0
 
 
@@ -181,14 +177,11 @@ def cmd_parse_context(args) -> int:
         if first is None:
             raise ToolkitError(f"no usable elements in {args.infile}")
         _refuse_to_overwrite(args.out, (args.infile,), "groups")
-
-        def counted_rows():
+        with jsonl_writer(args.out) as write:
             for group in group_elements(chain((first,), elements), depths):
                 sizes[len(group.conditions)] += 1
-                yield group_to_dict(group)
-
-        n_groups = write_jsonl(args.out, counted_rows())
-    print(f"{n_groups} group(s), {sum(size * n for size, n in sizes.items())} condition(s)")
+                write(group_to_dict(group))
+    print(f"{sum(sizes.values())} group(s), {sum(size * n for size, n in sizes.items())} condition(s)")
 
     if args.stats:
         print("group size histogram:")
@@ -223,9 +216,10 @@ def _build_parser() -> _Parser:
     p_gen.set_defaults(func=cmd_generate)
 
     p_solve = sub.add_parser("solve", help="solve template text or dump evaluation tables")
-    p_solve.add_argument("--file", help="template text or a templates.jsonl file")
-    p_solve.add_argument("--stdin", action="store_true", help="read template text from stdin")
-    p_solve.add_argument("--assignments", metavar="OP:K", help="print the full table for a group, e.g. any:3")
+    solve_input = p_solve.add_mutually_exclusive_group()
+    solve_input.add_argument("--file", help="template text or a templates.jsonl file")
+    solve_input.add_argument("--stdin", action="store_true", help="read template text from stdin")
+    solve_input.add_argument("--assignments", metavar="OP:K", help="print the full table for a group, e.g. any:3")
     p_solve.add_argument("--out", help="also write verdicts as JSONL")
     p_solve.set_defaults(func=cmd_solve)
 

@@ -102,10 +102,16 @@ class NliBank:
     def __len__(self) -> int:
         return len(self.records)
 
+    def require(self, labels) -> None:
+        """Raise :class:`BankError` for the first of ``labels`` with no records; None stands for any label."""
+        for label in labels:
+            if label is not None and not self.by_label.get(label):
+                raise BankError(f"bank {self.path!r} has no {label!r} records")
+
     def sample(self, label: str, rng: random.Random) -> NliRecord:
-        bucket = self.by_label.get(label, ())
+        bucket = self.by_label.get(label)
         if not bucket:
-            raise BankError(f"bank {self.path!r} has no {label!r} records")
+            self.require((label,))
         return bucket[rng.randrange(len(bucket))]
 
     def sample_any(self, rng: random.Random) -> NliRecord:
@@ -295,6 +301,29 @@ class TemplatePlan:
     relevant: int | None
     #: Condition ids of the facts, in the template's fact order.
     fact_ids: tuple[str, ...]
+    #: Per group, the labels its records are drawn with, from :func:`_bank_labels`.
+    bank_labels: tuple[tuple[str | None, tuple[str | None, ...]], ...]
+
+
+def _bank_labels(groups, relevant) -> tuple[tuple[str | None, tuple[str | None, ...]], ...]:
+    """Per group, the label of the bank bucket its result premise is drawn from and, in
+    order, those its conditions' records are drawn from; None draws from every record.
+
+    The asked group's premise comes from the bucket of its intrinsic relation. A condition
+    with a fact takes the label that gives it the evidence the solver resolved.
+    """
+    return tuple(
+        (
+            _NLI_FOR_RELATION[g.intrinsic_relation] if gi == relevant else None,
+            tuple(
+                None if c.evidence is EvidenceState.NOT_MENTIONED
+                else "entailment" if resolve_state(c.negated, FactRelation.SUPPORTS) is c.evidence
+                else "contradiction"
+                for c in g.conditions
+            ),
+        )
+        for gi, g in enumerate(groups)
+    )
 
 
 def compile_template(template: Template) -> TemplatePlan:
@@ -302,15 +331,14 @@ def compile_template(template: Template) -> TemplatePlan:
     symbolic = solve_template(template)
     ids = condition_ids(template)
     groups, relevant = template_groups(template)
+    groups = tuple(replace(g, conditions=tuple(replace(c, id=ids[c.id]) for c in g.conditions)) for g in groups)
     return TemplatePlan(
         template_id=template.template_id,
         gold=Verdict(symbolic.label, frozenset(ids[v] for v in symbolic.unsatisfied)),
-        groups=tuple(
-            replace(g, conditions=tuple(replace(c, id=ids[c.id]) for c in g.conditions))
-            for g in groups
-        ),
+        groups=groups,
         relevant=relevant,
         fact_ids=tuple(ids[f.var] for f in template.facts),
+        bank_labels=_bank_labels(groups, relevant),
     )
 
 
@@ -333,19 +361,18 @@ def instantiate(
     fact_text: dict[str, str] = {}
     question: str | None = None
     groups: list[ConditionGroup] = []
-    for gi, g in enumerate(plan.groups):
-        if gi == plan.relevant:
-            record = bank.sample(_NLI_FOR_RELATION[g.intrinsic_relation], rng)
-            question = record.hypothesis
-        else:
+    for gi, (g, (label, condition_labels)) in enumerate(zip(plan.groups, plan.bank_labels)):
+        if label is None:
             record = bank.sample_any(rng)
+        else:
+            record = bank.sample(label, rng)
+            question = record.hypothesis
         conditions = []
-        for c in g.conditions:
-            if c.evidence is EvidenceState.NOT_MENTIONED:
+        for c, fact_label in zip(g.conditions, condition_labels):
+            if fact_label is None:
                 cond_record = bank.sample_any(rng)
             else:
-                supported = resolve_state(c.negated, FactRelation.SUPPORTS) is c.evidence
-                cond_record = bank.sample("entailment" if supported else "contradiction", rng)
+                cond_record = bank.sample(fact_label, rng)
                 fact_text[c.id] = cond_record.hypothesis
             text = f"not {cond_record.premise}" if c.negated else cond_record.premise
             conditions.append(Condition(id=c.id, text=f"{c.id}: {text}"))
@@ -381,15 +408,22 @@ def generate_dataset(config: GenConfig, bank: NliBank, split: str) -> Iterator[E
     ``train-stream`` is unbounded. Split tags enter the seed derivation,
     so splits draw from disjoint random streams. Each template is
     validated and solved once per call; every example then only draws
-    bank records.
+    bank records. The templates are made, and the bank checked for
+    every label they draw, when this is called, before any example is
+    drawn: a fault raises here, not on the first ``next``.
     """
     if split not in SPLITS:
         raise InvariantError(f"unknown split {split!r}, expected one of {SPLITS}")
     plans = [compile_template(t) for t in generate_templates(config)]
+    bank.require(label for plan in plans for asked, facts in plan.bank_labels for label in (asked, *facts))
     length = {"dev": config.n_dev, "test": config.n_test}.get(split)
     indices = range(length) if length is not None else itertools.count()
     split_seed = _derive_seed(config.seed, split)
-    for index in indices:
-        pick = random.Random(_derive_seed(config.seed, split, index, "pick"))
-        plan = plans[pick.randrange(len(plans))]
-        yield instantiate(plan, bank, index, seed=split_seed)
+
+    def examples() -> Iterator[Example]:
+        for index in indices:
+            pick = random.Random(_derive_seed(config.seed, split, index, "pick"))
+            plan = plans[pick.randrange(len(plans))]
+            yield instantiate(plan, bank, index, seed=split_seed)
+
+    return examples()

@@ -2,9 +2,11 @@
 
 Every JSONL input (NLI bank, tagged page, dataset split, gold and
 prediction files, templates.jsonl) goes through :class:`JsonlReader`,
-and every JSONL output through :func:`write_jsonl`, so line numbering,
+and every JSONL output through :func:`jsonl_writer`, so line numbering,
 blank lines, fault wording, field types (:func:`str_field` and the checks
-beside it) and text encoding are decided here once.
+beside it) and text encoding are decided here once. The one JSON file
+read otherwise is a split's manifest sidecar: it is written as one JSONL
+line and ``dataset_io.read_manifest`` reads it whole with ``json.load``.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import json
 import logging
 import os
 import re
+from contextlib import contextmanager
 from dataclasses import KW_ONLY, dataclass, field
 from typing import Callable, Iterable, Iterator
 
@@ -139,14 +142,24 @@ def _refuse_to_overwrite(path, sources, what: str) -> None:
                 raise InvariantError(f"{what} would overwrite the input file {source!r}")
 
 
-def write_jsonl(path, records: Iterable[dict]) -> int:
-    """Write one JSON object per line as UTF-8, streaming; returns the count.
+@contextmanager
+def jsonl_writer(path) -> Iterator[Callable[[dict], object]]:
+    """Yield ``write(record)``, which writes one JSON object per line to ``path`` as UTF-8.
 
-    Non-ASCII text is written as is, not as ``\\u`` escapes.
+    Non-ASCII text is written as is, not as ``\\u`` escapes. A fault inside the block
+    leaves the lines written before it. With ``path`` None, ``write`` discards and no file is made.
     """
-    count = 0
+    if path is None:
+        yield lambda record: None
+        return
     with open(path, "w", encoding="utf-8") as handle:
-        for record in records:
-            handle.write(json.dumps(record, ensure_ascii=False) + "\n")
-            count += 1
+        yield lambda record: handle.write(json.dumps(record, ensure_ascii=False) + "\n")
+
+
+def write_jsonl(path, records: Iterable[dict]) -> int:
+    """Write ``records`` with :func:`jsonl_writer`, streaming; returns the count."""
+    count = 0
+    with jsonl_writer(path) as write:
+        for count, record in enumerate(records, start=1):
+            write(record)
     return count

@@ -16,12 +16,12 @@ import logging
 import math
 import re
 import string
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from typing import Collection, Iterator
 
 from .errors import InvariantError
-from .jsonl import JsonlReader, _refuse_to_overwrite, optional_field, str_field, str_list_field, write_jsonl
+from .jsonl import JsonlReader, _refuse_to_overwrite, jsonl_writer, optional_field, str_field, str_list_field
 from .logic import TaskProfile
 
 logger = logging.getLogger(__name__)
@@ -329,8 +329,7 @@ def evaluate_files(pred_path, gold_path, profile: TaskProfile, per_example_path=
     n = matched = n_bleu = 0
     correct, total = Counter(), Counter()  # rows per gold label: correct ones, all
 
-    def scored_rows():
-        nonlocal n, matched, n_bleu
+    with jsonl_writer(per_example_path) as write:
         for gold in read_gold_file(gold_path):
             pred = predictions.get(gold.example_id)
             row = score_example(pred, gold, with_bleu=with_bleu)
@@ -345,12 +344,7 @@ def evaluate_files(pred_path, gold_path, profile: TaskProfile, per_example_path=
             if gold.label is not None:
                 total[gold.label] += 1
                 correct[gold.label] += row["label_correct"]
-            yield row
-
-    if per_example_path is None:
-        deque(scored_rows(), maxlen=0)
-    else:
-        write_jsonl(per_example_path, scored_rows())
+            write(row)
     if not n:
         raise InvariantError(f"gold file {gold_path!r} holds no records")
     if len(predictions) > matched:

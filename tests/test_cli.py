@@ -104,6 +104,16 @@ def test_solve_no_input_exits_one(capsys):
     assert "nothing to solve" in err
 
 
+@pytest.mark.parametrize("extra", [["--stdin"], ["--assignments", "all:1"]], ids=["stdin", "assignments"])
+def test_solve_takes_one_input(tmp_path, capsys, extra):
+    path = tmp_path / "template.txt"
+    path.write_text(REFERENCE_TEMPLATE, encoding="utf-8")
+    code, out, err = run(capsys, "solve", "--file", str(path), *extra)
+    assert code == 1
+    assert out == ""
+    assert err.endswith(f"condlogic solve: error: argument {extra[0]}: not allowed with argument --file\n")
+
+
 def test_solve_missing_file_exits_two(capsys):
     code, _, err = run(capsys, "solve", "--file", "/nonexistent/template.txt")
     assert code == 2
@@ -413,6 +423,45 @@ def test_generate_may_not_overwrite_the_bank(tmp_path, capsys, bank_path, name, 
     assert list(out_dir.iterdir()) == [bank]
 
 
+def _write_labelled_bank(path, labels, n=30):
+    with open(path, "w", encoding="utf-8") as handle:
+        for i in range(n):
+            record = {"premise": f"premise {i}.", "hypothesis": f"hypothesis {i}.", "label": labels[i % len(labels)]}
+            handle.write(json.dumps(record) + "\n")
+
+
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (["--templates", "5", "--dev", "50", "--test", "50"], "bank {bank!r} has no 'contradiction' records"),
+        (["--max-conditions", "1", "--templates", "100000"],
+         "no new template after 1000 consecutive duplicates; got 32 of 100000"),
+    ],
+    ids=["missing-label", "too-few-templates"],
+)
+def test_generate_refuses_before_writing(tmp_path, capsys, flags, message):
+    bank = tmp_path / "bank.jsonl"
+    _write_labelled_bank(bank, ["entailment"])
+    out_dir = tmp_path / "data"
+    code, out, err = run(capsys, "generate", "--bank", str(bank), "--out", str(out_dir), "--seed", "1", *flags)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message.format(bank=str(bank))}\n"
+    assert not out_dir.exists()
+
+
+def test_generate_needs_only_the_labels_its_templates_draw(tmp_path, capsys):
+    # No template of seed 3 asks a neutral question, so a bank without neutral records will do.
+    bank = tmp_path / "bank.jsonl"
+    _write_labelled_bank(bank, ["entailment", "contradiction"])
+    out_dir = tmp_path / "data"
+    code, out, err = run(capsys, "generate", "--bank", str(bank), "--out", str(out_dir), "--seed", "3",
+                         "--templates", "5", "--dev", "200", "--test", "50")
+    assert code == 0, err
+    assert len((out_dir / "dev.jsonl").read_text(encoding="utf-8").splitlines()) == 200
+    assert len((out_dir / "test.jsonl").read_text(encoding="utf-8").splitlines()) == 50
+
+
 # --- parse-context ---------------------------------------------------------------
 
 def test_parse_context(tmp_path, capsys):
@@ -625,7 +674,8 @@ def test_parse_context_same_bytes_on_every_python(tmp_path, minor):
 
 # --- evaluate ---------------------------------------------------------------------
 
-def test_evaluate_self(tmp_path, capsys, bank_path):
+@pytest.mark.parametrize("rows", ["written", "not-asked"])
+def test_evaluate_self(tmp_path, capsys, monkeypatch, bank_path, rows):
     out_dir = tmp_path / "data"
     run(
         capsys,
@@ -637,20 +687,33 @@ def test_evaluate_self(tmp_path, capsys, bank_path):
         "--dev", "20",
         "--test", "0",
     )
-    per_example = tmp_path / "rows.jsonl"
+    # Without --out or --per-example, solve and evaluate leave their working directory as it was.
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    per_example, verdicts = tmp_path / "rows.jsonl", tmp_path / "verdicts.jsonl"
+    code, out, _ = run(capsys, "solve", "--file", str(out_dir / "templates.jsonl"),
+                       *(["--out", str(verdicts)] if rows == "written" else []))
+    assert code == 0
+    assert len(out.splitlines()) == 8
     code, out, _ = run(
         capsys,
         "evaluate",
         "--pred", str(out_dir / "dev.jsonl"),
         "--gold", str(out_dir / "dev.jsonl"),
         "--profile", "condnli",
-        "--per-example", str(per_example),
+        *(["--per-example", str(per_example)] if rows == "written" else []),
     )
     assert code == 0
     assert "n examples            20" in out
     for line in out.splitlines()[1:]:
         assert "1.0000" in line
-    assert len(per_example.read_text(encoding="utf-8").splitlines()) == 20
+    assert list(cwd.iterdir()) == []
+    if rows == "written":
+        assert len(per_example.read_text(encoding="utf-8").splitlines()) == 20
+        assert len(verdicts.read_text(encoding="utf-8").splitlines()) == 8
+    else:
+        assert not per_example.exists() and not verdicts.exists()
 
 
 @pytest.mark.parametrize("profile", ["condnli", "conditionalqa", "sharc"])

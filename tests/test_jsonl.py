@@ -12,7 +12,7 @@ from condlogic import cli
 from condlogic.contexts import load_html_elements
 from condlogic.dataset_io import manifest_path, read_manifest, read_split
 from condlogic.errors import InvariantError
-from condlogic.jsonl import JsonlReader, write_jsonl
+from condlogic.jsonl import JsonlReader, jsonl_writer, write_jsonl
 from conftest import REFERENCE_TEMPLATE
 
 SOURCE = "f.jsonl"
@@ -117,6 +117,33 @@ def test_write_jsonl_round_trip(tmp_path):
     assert "café" in path.read_text(encoding="utf-8")
     with open(path, encoding="utf-8") as handle:
         assert list(JsonlReader(handle, path, dict, strict=True)) == records
+
+
+def test_jsonl_writer_writes_the_bytes_of_write_jsonl(tmp_path):
+    records = [{"id": "café", "text": "naïve 文字 \u2028 😀"}, {"id": "e1", "n": [1, 2], "q": None}]
+    write_jsonl(tmp_path / "all.jsonl", records)
+    with jsonl_writer(tmp_path / "rows.jsonl") as write:
+        for record in records:
+            write(record)
+    assert (tmp_path / "rows.jsonl").read_bytes() == (tmp_path / "all.jsonl").read_bytes()
+    assert "文字".encode("utf-8") in (tmp_path / "rows.jsonl").read_bytes()
+
+
+def test_jsonl_writer_without_a_path_creates_no_file(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with jsonl_writer(None) as write:
+        write({"id": "0"})
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_jsonl_writer_keeps_the_lines_before_a_fault(tmp_path):
+    path = tmp_path / "rows.jsonl"
+    with pytest.raises(RuntimeError, match="fault"):
+        with jsonl_writer(path) as write:
+            write({"id": "0"})
+            write({"id": "1"})
+            raise RuntimeError("fault")
+    assert path.read_text(encoding="utf-8") == '{"id": "0"}\n{"id": "1"}\n'
 
 
 # --- one wording for a field of the wrong type, under every reader's policy ----
