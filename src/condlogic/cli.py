@@ -19,12 +19,13 @@ from itertools import chain, islice
 from pathlib import Path
 
 from .contexts import group_elements, load_html_elements
-from .dataset_io import SplitManifest, _sorted_ids, group_to_dict, manifest_path, write_split
+from .dataset_io import SplitManifest, _sorted_ids, group_to_dict, manifest_path, plan_line, write_split
 from .errors import ToolkitError
 from .generate import (
     GenConfig,
+    _draws,
+    compile_template,
     config_hash,
-    generate_dataset,
     generate_templates,
     load_nli_bank,
 )
@@ -67,9 +68,12 @@ def cmd_generate(args) -> int:
     paths = {name: out_dir / f"{name}.jsonl" for name, _ in splits}
     for path in (templates_path, *paths.values(), *map(manifest_path, paths.values())):
         _refuse_to_overwrite(path, (args.bank,), f"output {Path(path).name}")
-    # Making the templates and the split streams checks the config and the bank, before anything is written.
+    # Making the templates, their plans and lines, and the split streams checks the config
+    # and the bank, before anything is written.
     templates = generate_templates(config)
-    streams = {name: generate_dataset(config, bank, tag) for name, tag in splits}
+    plans = [compile_template(t) for t in templates]
+    lines = {plan.template_id: plan_line(plan) for plan in plans}
+    streams = {name: _draws(config, bank, tag, plans) for name, tag in splits}
     if args.train:
         streams["train"] = islice(streams["train"], args.train)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -82,9 +86,9 @@ def cmd_generate(args) -> int:
     histogram: Counter = Counter()
 
     def counted(stream):
-        for example in stream:
-            histogram[example.gold.label] += 1
-            yield example
+        for plan, example_seed, texts in stream:
+            histogram[plan.gold.label] += 1
+            yield lines[plan.template_id](example_seed, texts)
 
     for name, stream in streams.items():
         manifest = write_split(
@@ -115,6 +119,8 @@ def _assignments_table(spec: str) -> str:
 
 def cmd_solve(args) -> int:
     if args.assignments:
+        if args.out:
+            raise ToolkitError("--out cannot be used with --assignments, which writes no verdicts")
         print(_assignments_table(args.assignments))
         return 0
     if not (args.file or args.stdin):

@@ -14,11 +14,13 @@ import json
 import logging
 import re
 from dataclasses import asdict, dataclass, replace
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import __version__
-from .generate import Example
-from .jsonl import JsonlReader, int_field, str_field, str_list_field, write_jsonl
+from .generate import Example, TemplatePlan, _example, _text_count
+from .jsonl import (
+    JsonlReader, encode_line, int_field, line_skeleton, line_writer, str_field, str_list_field, write_jsonl,
+)
 from .logic import Condition, ConditionGroup, LogicalType, TaskProfile, Verdict
 
 logger = logging.getLogger(__name__)
@@ -75,6 +77,21 @@ def example_to_dict(example: Example) -> dict:
         "answer_label": example.gold.label,
         "unsatisfied": _sorted_ids(example.gold.unsatisfied),
     }
+
+
+#: The probe example's seed: no 64-bit example seed can equal it.
+_SEED_HOLE = 2**64
+
+
+def plan_line(plan: TemplatePlan) -> Callable[[int, Sequence[str]], str]:
+    """``line(example_seed, texts)``: the line :func:`write_split` writes for the example of
+    ``plan`` with that seed and the texts ``generate._draw`` returns, made without the example.
+
+    The layout is :func:`example_to_dict`'s: the line is that of one probe example whose seed
+    and texts are placeholders, filled by :func:`jsonl.line_skeleton`.
+    """
+    holes = [f"\ue000{i}" for i in range(_text_count(plan))]
+    return line_skeleton(example_to_dict(_example(plan, _SEED_HOLE, holes)), _SEED_HOLE, holes)
 
 
 def example_from_dict(raw: dict) -> Example:
@@ -154,7 +171,7 @@ def manifest_path(split_path) -> str:
     return f"{split_path}{MANIFEST_SUFFIX}"
 
 
-def write_split(examples: Iterable[Example], path, manifest: SplitManifest) -> SplitManifest:
+def write_split(examples: Iterable[Example | str], path, manifest: SplitManifest) -> SplitManifest:
     """Write examples to ``path`` and a manifest sidecar next to it.
 
     Records are written line by line, so an interrupted run leaves at
@@ -162,12 +179,17 @@ def write_split(examples: Iterable[Example], path, manifest: SplitManifest) -> S
     actual record count.
 
     Args:
-        examples: examples to serialize, streamed.
+        examples: examples to serialize, streamed; an item may also be
+            an example's line already made by a :func:`plan_line`, which
+            is written as it is.
         path: destination JSONL file.
         manifest: manifest fields; ``count`` is replaced by the number
             of records actually written.
     """
-    count = write_jsonl(path, (example_to_dict(example) for example in examples))
+    count = 0
+    with line_writer(path) as write:
+        for count, item in enumerate(examples, start=1):
+            write(item if isinstance(item, str) else encode_line(example_to_dict(item)))
     final = replace(manifest, count=count)
     write_jsonl(manifest_path(path), [final.to_dict()])
     return final

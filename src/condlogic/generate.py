@@ -342,6 +342,68 @@ def compile_template(template: Template) -> TemplatePlan:
     )
 
 
+def _draw(plan: TemplatePlan, bank: NliBank, example_index: int, seed: int) -> tuple[int, list[str]]:
+    """The example seed and the texts drawn for one example of ``plan``, in record order:
+    per group its result premise, then each full condition text; then the facts in
+    ``plan.fact_ids`` order; then the question."""
+    example_seed = _derive_seed(seed, plan.template_id, example_index)
+    rng = random.Random(example_seed)
+
+    texts: list[str] = []
+    fact_text: dict[str, str] = {}
+    question: str | None = None
+    for g, (label, condition_labels) in zip(plan.groups, plan.bank_labels):
+        if label is None:
+            record = bank.sample_any(rng)
+        else:
+            record = bank.sample(label, rng)
+            question = record.hypothesis
+        texts.append(record.premise)
+        for c, fact_label in zip(g.conditions, condition_labels):
+            if fact_label is None:
+                cond_record = bank.sample_any(rng)
+            else:
+                cond_record = bank.sample(fact_label, rng)
+                fact_text[c.id] = cond_record.hypothesis
+            texts.append(f"{c.id}: not {cond_record.premise}" if c.negated else f"{c.id}: {cond_record.premise}")
+    texts.extend(fact_text[cid] for cid in plan.fact_ids)
+    if question is None:
+        # Irrelevant target: the question hypothesis has no premise in context.
+        question = bank.sample_any(rng).hypothesis
+    texts.append(question)
+    return example_seed, texts
+
+
+def _example(plan: TemplatePlan, example_seed: int, texts) -> Example:
+    """The example of ``plan`` with the seed and the texts :func:`_draw` returns."""
+    it = iter(texts)
+    groups = []
+    for gi, g in enumerate(plan.groups):
+        result_text = next(it)
+        groups.append(
+            ConditionGroup(
+                result_id=f"R{gi}",
+                result_text=result_text,
+                logical_type=LogicalType.REQUIRED if len(g.conditions) == 1 else g.logical_type,
+                conditions=tuple(Condition(id=c.id, text=next(it)) for c in g.conditions),
+            )
+        )
+    facts = tuple(itertools.islice(it, len(plan.fact_ids)))
+    return Example(
+        context=tuple(groups),
+        facts=facts,
+        question=next(it),
+        gold=plan.gold,
+        template_id=plan.template_id,
+        seed=example_seed,
+    )
+
+
+def _text_count(plan: TemplatePlan) -> int:
+    """How many texts :func:`_draw` returns for an example of ``plan``."""
+    return sum(1 + len(g.conditions) for g in plan.groups) + len(plan.fact_ids) + 1
+
+
 def instantiate(
     template: Template | TemplatePlan, bank: NliBank, example_index: int, *, seed: int
 ) -> Example:
@@ -355,50 +417,34 @@ def instantiate(
     is compiled on the spot; pass a :class:`TemplatePlan` to reuse one.
     """
     plan = template if isinstance(template, TemplatePlan) else compile_template(template)
-    example_seed = _derive_seed(seed, plan.template_id, example_index)
-    rng = random.Random(example_seed)
-
-    fact_text: dict[str, str] = {}
-    question: str | None = None
-    groups: list[ConditionGroup] = []
-    for gi, (g, (label, condition_labels)) in enumerate(zip(plan.groups, plan.bank_labels)):
-        if label is None:
-            record = bank.sample_any(rng)
-        else:
-            record = bank.sample(label, rng)
-            question = record.hypothesis
-        conditions = []
-        for c, fact_label in zip(g.conditions, condition_labels):
-            if fact_label is None:
-                cond_record = bank.sample_any(rng)
-            else:
-                cond_record = bank.sample(fact_label, rng)
-                fact_text[c.id] = cond_record.hypothesis
-            text = f"not {cond_record.premise}" if c.negated else cond_record.premise
-            conditions.append(Condition(id=c.id, text=f"{c.id}: {text}"))
-        groups.append(
-            ConditionGroup(
-                result_id=f"R{gi}",
-                result_text=record.premise,
-                logical_type=LogicalType.REQUIRED if len(conditions) == 1 else g.logical_type,
-                conditions=tuple(conditions),
-            )
-        )
-    if question is None:
-        # Irrelevant target: the question hypothesis has no premise in context.
-        question = bank.sample_any(rng).hypothesis
-
-    return Example(
-        context=tuple(groups),
-        facts=tuple(fact_text[cid] for cid in plan.fact_ids),
-        question=question,
-        gold=plan.gold,
-        template_id=plan.template_id,
-        seed=example_seed,
-    )
+    return _example(plan, *_draw(plan, bank, example_index, seed))
 
 
 SPLITS = ("dev", "test", "train-stream")
+
+
+def _draws(
+    config: GenConfig, bank: NliBank, split: str, plans: list[TemplatePlan]
+) -> Iterator[tuple[TemplatePlan, int, list[str]]]:
+    """``(plan, example_seed, texts)`` per example of a split, as :func:`_draw` makes them.
+
+    The split name and the bank (for every label the plans draw) are checked when this
+    is called, before any example is drawn: a fault raises here, not on the first ``next``.
+    """
+    if split not in SPLITS:
+        raise InvariantError(f"unknown split {split!r}, expected one of {SPLITS}")
+    bank.require(label for plan in plans for asked, facts in plan.bank_labels for label in (asked, *facts))
+    length = {"dev": config.n_dev, "test": config.n_test}.get(split)
+    indices = range(length) if length is not None else itertools.count()
+    split_seed = _derive_seed(config.seed, split)
+
+    def draws():
+        for index in indices:
+            pick = random.Random(_derive_seed(config.seed, split, index, "pick"))
+            plan = plans[pick.randrange(len(plans))]
+            yield (plan, *_draw(plan, bank, index, split_seed))
+
+    return draws()
 
 
 def generate_dataset(config: GenConfig, bank: NliBank, split: str) -> Iterator[Example]:
@@ -408,22 +454,9 @@ def generate_dataset(config: GenConfig, bank: NliBank, split: str) -> Iterator[E
     ``train-stream`` is unbounded. Split tags enter the seed derivation,
     so splits draw from disjoint random streams. Each template is
     validated and solved once per call; every example then only draws
-    bank records. The templates are made, and the bank checked for
-    every label they draw, when this is called, before any example is
-    drawn: a fault raises here, not on the first ``next``.
+    bank records. The templates are made, and the split and the bank
+    checked, when this is called, before any example is drawn: a fault
+    raises here, not on the first ``next``.
     """
-    if split not in SPLITS:
-        raise InvariantError(f"unknown split {split!r}, expected one of {SPLITS}")
     plans = [compile_template(t) for t in generate_templates(config)]
-    bank.require(label for plan in plans for asked, facts in plan.bank_labels for label in (asked, *facts))
-    length = {"dev": config.n_dev, "test": config.n_test}.get(split)
-    indices = range(length) if length is not None else itertools.count()
-    split_seed = _derive_seed(config.seed, split)
-
-    def examples() -> Iterator[Example]:
-        for index in indices:
-            pick = random.Random(_derive_seed(config.seed, split, index, "pick"))
-            plan = plans[pick.randrange(len(plans))]
-            yield instantiate(plan, bank, index, seed=split_seed)
-
-    return examples()
+    return itertools.starmap(_example, _draws(config, bank, split, plans))

@@ -2,9 +2,11 @@
 
 Every JSONL input (NLI bank, tagged page, dataset split, gold and
 prediction files, templates.jsonl) goes through :class:`JsonlReader`,
-and every JSONL output through :func:`jsonl_writer`, so line numbering,
-blank lines, fault wording, field types (:func:`str_field` and the checks
-beside it) and text encoding are decided here once. The one JSON file
+and every JSONL output through :func:`line_writer`, as records
+(:func:`jsonl_writer`) or as lines filled into a record's
+:func:`line_skeleton`, so line numbering, blank lines, fault wording,
+field types (:func:`str_field` and the checks beside it) and text
+encoding are decided here once. The one JSON file
 read otherwise is a split's manifest sidecar: it is written as one JSONL
 line and ``dataset_io.read_manifest`` reads it whole with ``json.load``.
 """
@@ -17,7 +19,8 @@ import os
 import re
 from contextlib import contextmanager
 from dataclasses import KW_ONLY, dataclass, field
-from typing import Callable, Iterable, Iterator
+from json.encoder import encode_basestring
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import InvariantError, ToolkitError
 
@@ -142,18 +145,65 @@ def _refuse_to_overwrite(path, sources, what: str) -> None:
                 raise InvariantError(f"{what} would overwrite the input file {source!r}")
 
 
+def encode_line(record: dict) -> str:
+    """The line, newline included, that :func:`jsonl_writer` writes for ``record``.
+
+    Non-ASCII text is written as is, not as ``\\u`` escapes.
+    """
+    return json.dumps(record, ensure_ascii=False) + "\n"
+
+
+def line_skeleton(record: dict, number_hole: int, text_holes: Sequence[str]) -> Callable[[int, Iterable[str]], str]:
+    """``fill(number, texts)``: the line :func:`encode_line` makes of ``record`` with
+    ``number_hole`` replaced by ``number`` and each of ``text_holes`` by the text at its
+    position in ``texts``.
+
+    ``record`` is encoded once, and split at the holes; a fill encodes only its values,
+    as ``json.dumps`` encodes them (``encode_basestring`` is its encoder of strings
+    when ``ensure_ascii`` is false). Raises :class:`InvariantError` unless each hole's
+    encoding occurs exactly once in the line, clear of the others.
+    """
+    line = encode_line(record)
+    spans = []
+    for index, hole in enumerate((str(number_hole), *map(encode_basestring, text_holes))):
+        if line.count(hole) != 1:
+            raise InvariantError(f"hole {hole} occurs {line.count(hole)} times in the record's line, expected once")
+        start = line.index(hole)
+        spans.append((start, start + len(hole), index))
+    pattern, end = [], 0
+    for start, stop, index in sorted(spans):
+        if start < end:
+            raise InvariantError("two holes overlap in the record's line")
+        pattern.append(f"{_escape_braces(line[end:start])}{{{index}}}")
+        end = stop
+    pattern.append(_escape_braces(line[end:]))
+    fill = "".join(pattern).format
+    return lambda number, texts: fill(str(number), *map(encode_basestring, texts))
+
+
+def _escape_braces(text: str) -> str:
+    return text.replace("{", "{{").replace("}", "}}")
+
+
+@contextmanager
+def line_writer(path) -> Iterator[Callable[[str], object]]:
+    """Yield ``write(line)``, which writes lines made by :func:`encode_line` or
+    :func:`line_skeleton` to ``path`` as UTF-8. A fault inside the block leaves the
+    lines written before it."""
+    with open(path, "w", encoding="utf-8") as handle:
+        yield handle.write
+
+
 @contextmanager
 def jsonl_writer(path) -> Iterator[Callable[[dict], object]]:
-    """Yield ``write(record)``, which writes one JSON object per line to ``path`` as UTF-8.
-
-    Non-ASCII text is written as is, not as ``\\u`` escapes. A fault inside the block
-    leaves the lines written before it. With ``path`` None, ``write`` discards and no file is made.
-    """
+    """Yield ``write(record)``, which writes :func:`encode_line` of each record with
+    :func:`line_writer`. With ``path`` None, ``write`` discards, encoding nothing, and no
+    file is made."""
     if path is None:
         yield lambda record: None
         return
-    with open(path, "w", encoding="utf-8") as handle:
-        yield lambda record: handle.write(json.dumps(record, ensure_ascii=False) + "\n")
+    with line_writer(path) as write:
+        yield lambda record: write(encode_line(record))
 
 
 def write_jsonl(path, records: Iterable[dict]) -> int:

@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import logging
 import os
@@ -14,7 +15,20 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from condlogic import KNOWN_TAGS, ParseError, cli, parse_template_dsl, templates
+import condlogic.dataset_io as dataset_io_module
+import condlogic.generate as generate_module
+from condlogic import (
+    KNOWN_TAGS,
+    GenConfig,
+    ParseError,
+    cli,
+    example_to_dict,
+    generate_dataset,
+    load_nli_bank,
+    parse_template_dsl,
+    solve_template,
+    templates,
+)
 from conftest import REFERENCE_TEMPLATE
 
 
@@ -112,6 +126,15 @@ def test_solve_takes_one_input(tmp_path, capsys, extra):
     assert code == 1
     assert out == ""
     assert err.endswith(f"condlogic solve: error: argument {extra[0]}: not allowed with argument --file\n")
+
+
+def test_solve_assignments_refuses_out(tmp_path, capsys):
+    path = tmp_path / "verdicts.jsonl"
+    code, out, err = run(capsys, "solve", "--assignments", "all:1", "--out", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == "error: --out cannot be used with --assignments, which writes no verdicts\n"
+    assert not path.exists()
 
 
 def test_solve_missing_file_exits_two(capsys):
@@ -460,6 +483,74 @@ def test_generate_needs_only_the_labels_its_templates_draw(tmp_path, capsys):
     assert code == 0, err
     assert len((out_dir / "dev.jsonl").read_text(encoding="utf-8").splitlines()) == 200
     assert len((out_dir / "test.jsonl").read_text(encoding="utf-8").splitlines()) == 50
+
+
+def test_generate_compiles_each_plan_once_and_builds_no_example_per_record(tmp_path, capsys, bank_path):
+    with mock.patch.object(generate_module, "solve_template", wraps=solve_template) as solves, \
+            mock.patch.object(dataset_io_module, "example_to_dict", wraps=example_to_dict) as dicts:
+        code, _, err = run(capsys, "generate", "--bank", str(bank_path), "--out", str(tmp_path / "data"),
+                           "--seed", "2", "--templates", "6", "--dev", "40", "--test", "30", "--train", "20")
+    assert code == 0, err
+    # One solve per template, shared by the three splits, and one probe record per plan.
+    assert solves.call_count == 6
+    assert dicts.call_count == 6
+
+
+# Texts a JSON encoder must escape, non-ASCII ones, and ones that look like a line's placeholders.
+_bank_texts = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=8) | st.sampled_from(
+    ['"', "\\", "a\x00\x1fb\r", "\u2028\x85", "0", "18446744073709551616", "\ue000", "\ue0000", "{0}",
+     "caf\u00e9 \U0001f600"]
+)
+_good_bank_lines = st.tuples(
+    _bank_texts, _bank_texts, st.sampled_from(["entailment", "contradiction", "neutral"]), st.booleans()
+).map(lambda r: ("good", r[2], json.dumps(
+    {"sentence1": r[0], "sentence2": r[1], "gold_label": r[2]} if r[3] else
+    {"premise": r[0], "hypothesis": r[1], "label": r[2]},
+    ensure_ascii=False,
+)))
+_bad_bank_lines = st.sampled_from([
+    "{", "nonsense", "[1, 2]", "5", "null", '"x"',
+    '{"premise": "p", "label": "neutral"}',
+    '{"premise": "", "hypothesis": "h", "label": "neutral"}',
+    '{"premise": "p", "hypothesis": "h", "label": "-"}',
+    '{"premise": "p", "hypothesis": "h", "label": "Entailment"}',
+    '{"premise": 5, "hypothesis": "h", "label": "neutral"}',
+    '{"premise": "p", "hypothesis": ["h"], "label": "entailment"}',
+    '{"premise": "p", "hypothesis": "h", "label": null}',
+    '{"premise": "a\\ud800", "hypothesis": "h", "label": "neutral"}',
+]).map(lambda line: ("bad", None, line))
+_FUZZ_SPLITS = (("dev", "dev", 12), ("test", "test", 8), ("train", "train-stream", 5))
+
+
+@settings(max_examples=60, deadline=None)
+# Two good lines to one bad, so that about a third of the banks hold every label.
+@given(lines=st.lists(st.one_of(_good_bank_lines, _good_bank_lines, _bad_bank_lines), max_size=14),
+       seed=st.integers(0, 50))
+def test_generate_fuzz_banks(lines, seed):
+    with tempfile.TemporaryDirectory() as tmp:
+        bank, out_dir = Path(tmp) / "bank.jsonl", Path(tmp) / "data"
+        bank.write_text("".join(line + "\n" for _, _, line in lines), encoding="utf-8")
+        with _Warnings() as warnings:
+            code, out, err = _main(["generate", "--bank", str(bank), "--out", str(out_dir), "--seed", str(seed),
+                                    "--templates", "3", "--dev", "12", "--test", "8", "--train", "5"])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        assert len(warnings.messages) == sum(kind == "bad" for kind, _, _ in lines)
+        if {label for kind, label, _ in lines if kind == "good"} == {"entailment", "contradiction", "neutral"}:
+            assert code == 0, err
+        if code != 0:
+            assert code == 1
+            assert out == "" and err.startswith("error: bank ") and err.count("\n") == 1
+            assert not out_dir.exists()
+            return
+        config = GenConfig(seed=seed, n_templates=3, n_dev=12, n_test=8)
+        loaded = load_nli_bank(bank)
+        for name, tag, count in _FUZZ_SPLITS:
+            # Split on newlines only: a record may hold U+2028 or U+0085 as they are.
+            got = (out_dir / f"{name}.jsonl").read_bytes().decode("utf-8").split("\n")
+            expected = [json.dumps(example_to_dict(e), ensure_ascii=False)
+                        for e in itertools.islice(generate_dataset(config, loaded, tag), count)]
+            assert got == [*expected, ""]
 
 
 # --- parse-context ---------------------------------------------------------------

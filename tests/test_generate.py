@@ -38,7 +38,8 @@ from condlogic import (
     template_groups,
     validate_template,
 )
-from condlogic.generate import _derive_seed
+from condlogic.dataset_io import example_to_dict, plan_line
+from condlogic.generate import SPLITS, _derive_seed, _draws, compile_template
 from conftest import REFERENCE_TEMPLATE, write_bank
 
 
@@ -453,3 +454,37 @@ def test_gold_follows_from_sampled_labels(big_bank, config):
             intrinsic = _INTRINSIC[ex.question.split()[0]] if gi == relevant else None
             groups.append(dataclasses.replace(g, conditions=tuple(conditions), intrinsic_relation=intrinsic))
         assert derive_answer(groups, relevant, TaskProfile.CONDNLI) == ex.gold
+
+
+# Texts a JSON encoder must escape, non-ASCII ones, and ones that look like a line's placeholders.
+_bank_texts = st.text(min_size=1, max_size=8) | st.sampled_from(
+    ['"', "\\", "a\x00\x1fb", "\u2028\u2029", "0", "18446744073709551616", "\ue000", "\ue0000", "{0}",
+     "caf\u00e9 \U0001f600"]
+)
+_bank_buckets = st.lists(st.tuples(_bank_texts, _bank_texts), min_size=1, max_size=3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(config=_configs, buckets=st.tuples(_bank_buckets, _bank_buckets, _bank_buckets))
+def test_plan_lines_are_the_encoded_examples(config, buckets):
+    config = dataclasses.replace(config, n_test=config.n_dev)
+    labels = ("entailment", "contradiction", "neutral")
+    bank = NliBank(
+        path="mem",
+        by_label={label: tuple(NliRecord(p, h, label) for p, h in bucket) for label, bucket in zip(labels, buckets)},
+    )
+    plans = [compile_template(t) for t in generate_templates(config)]
+    lines = {plan.template_id: plan_line(plan) for plan in plans}
+    for split in SPLITS:
+        pairs = itertools.islice(zip(_draws(config, bank, split, plans), generate_dataset(config, bank, split)), 40)
+        for (plan, example_seed, texts), example in pairs:
+            assert plan.template_id == example.template_id
+            line = lines[plan.template_id](example_seed, texts)
+            assert line == json.dumps(example_to_dict(example), ensure_ascii=False) + "\n"
+
+
+def test_plan_line_refuses_a_template_id_that_reads_as_a_placeholder(bank):
+    template = parse_template_dsl(REFERENCE_TEMPLATE)
+    plan = compile_template(dataclasses.replace(template, template_id="\ue0001"))
+    with pytest.raises(InvariantError, match="occurs 2 times"):
+        plan_line(plan)

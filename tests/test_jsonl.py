@@ -12,7 +12,7 @@ from condlogic import cli
 from condlogic.contexts import load_html_elements
 from condlogic.dataset_io import manifest_path, read_manifest, read_split
 from condlogic.errors import InvariantError
-from condlogic.jsonl import JsonlReader, jsonl_writer, write_jsonl
+from condlogic.jsonl import JsonlReader, encode_line, jsonl_writer, line_skeleton, write_jsonl
 from conftest import REFERENCE_TEMPLATE
 
 SOURCE = "f.jsonl"
@@ -133,6 +133,7 @@ def test_jsonl_writer_without_a_path_creates_no_file(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     with jsonl_writer(None) as write:
         write({"id": "0"})
+        write({"id": object()})  # not encoded either, so no TypeError
     assert list(tmp_path.iterdir()) == []
 
 
@@ -144,6 +145,34 @@ def test_jsonl_writer_keeps_the_lines_before_a_fault(tmp_path):
             write({"id": "1"})
             raise RuntimeError("fault")
     assert path.read_text(encoding="utf-8") == '{"id": "0"}\n{"id": "1"}\n'
+
+
+_skeleton_texts = st.text(max_size=8) | st.sampled_from(['"', "\\", "\x00\x1f", "\u2028", "{0}", "}{", "\ue000", "7"])
+
+
+@settings(max_examples=100, deadline=None)
+@given(number=st.integers(0, 2**64 - 1), texts=st.lists(_skeleton_texts, min_size=3, max_size=3))
+def test_line_skeleton_fills_the_line_of_encode_line(number, texts):
+    def record(n, a, b, c):
+        return {"id": "{T0}", "n": n, "rows": [{"text": a, "k": 0}, {"text": b}], "q": c, "tail": ["}", "{"]}
+
+    fill = line_skeleton(record(2**64, "\ue0000", "\ue0001", "\ue0002"), 2**64, ["\ue0000", "\ue0001", "\ue0002"])
+    assert fill(number, texts) == encode_line(record(number, *texts))
+
+
+@pytest.mark.parametrize(
+    "record,holes,message",
+    [
+        ({"n": 99, "a": "x", "b": "x"}, ["x"], 'hole "x" occurs 2 times'),
+        ({"n": 99, "a": "x"}, ["y"], 'hole "y" occurs 0 times'),
+        ({"n": 99, "m": 99, "a": "x"}, ["x"], "hole 99 occurs 2 times"),
+        ({"a": "x99"}, ["x99"], "two holes overlap"),  # the number is 99, inside the text
+    ],
+    ids=["repeated", "missing", "repeated-number", "overlap"],
+)
+def test_line_skeleton_needs_each_hole_once(record, holes, message):
+    with pytest.raises(InvariantError, match=re.escape(message)):
+        line_skeleton(record, 99, holes)
 
 
 # --- one wording for a field of the wrong type, under every reader's policy ----
