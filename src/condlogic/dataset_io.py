@@ -94,6 +94,12 @@ def plan_line(plan: TemplatePlan) -> Callable[[int, Sequence[str]], str]:
     return line_skeleton(example_to_dict(_example(plan, _SEED_HOLE, holes)), _SEED_HOLE, holes)
 
 
+def _require(raw: dict, keys) -> None:
+    missing = [key for key in keys if key not in raw]
+    if missing:
+        raise ValueError(f"missing fields: {', '.join(missing)}")
+
+
 def example_from_dict(raw: dict) -> Example:
     """Deserialize one example record, validating its shape.
 
@@ -105,13 +111,7 @@ def example_from_dict(raw: dict) -> Example:
     """
     if not isinstance(raw, dict):
         raise ValueError("record is not an object")
-    missing = [
-        key
-        for key in ("template_id", "seed", "context", "facts", "question", "answer_label", "unsatisfied")
-        if key not in raw
-    ]
-    if missing:
-        raise ValueError(f"missing fields: {', '.join(missing)}")
+    _require(raw, ("template_id", "seed", "context", "facts", "question", "answer_label", "unsatisfied"))
 
     if not isinstance(raw["context"], list):
         raise ValueError("context is not a list")
@@ -127,27 +127,29 @@ def example_from_dict(raw: dict) -> Example:
     for entry in raw["context"]:
         if not isinstance(entry, dict):
             raise ValueError("context entry is not an object")
-        type_token = entry.get("type")
-        if type_token not in _EXAMPLE_GROUP_TYPES:
+        _require(entry, ("result_id", "result", "type", "conditions"))
+        type_token = entry["type"]
+        if not isinstance(type_token, str) or type_token not in _EXAMPLE_GROUP_TYPES:
             raise ValueError(f"unknown group type {type_token!r}")
         conditions = []
-        raw_conditions = entry.get("conditions", [])
+        raw_conditions = entry["conditions"]
         if not isinstance(raw_conditions, list):
             raise ValueError("conditions is not a list")
         for cond in raw_conditions:
             if not isinstance(cond, dict):
                 raise ValueError("condition is not an object")
-            cid = cond.get("id", "")
+            _require(cond, ("id", "text"))
+            cid = cond["id"]
             if not isinstance(cid, str) or not _CONDITION_ID_RE.match(cid):
                 raise ValueError(f"malformed condition id {cid!r}")
             condition_ids.add(cid)
-            conditions.append(Condition(id=cid, text=str_field(cond.get("text", ""), "condition text")))
+            conditions.append(Condition(id=cid, text=str_field(cond["text"], "condition text")))
         if type_token == "required" and len(conditions) != 1:
             raise ValueError(f"required group has {len(conditions)} conditions, expected 1")
         groups.append(
             ConditionGroup(
-                result_id=str_field(entry.get("result_id", ""), "result_id"),
-                result_text=str_field(entry.get("result", ""), "result"),
+                result_id=str_field(entry["result_id"], "result_id"),
+                result_text=str_field(entry["result"], "result"),
                 logical_type=LogicalType(type_token),
                 conditions=tuple(conditions),
             )

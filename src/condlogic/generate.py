@@ -3,11 +3,11 @@
 Templates are sampled symbolically (see :mod:`condlogic.templates`) and
 instantiated with premise/hypothesis pairs drawn from a bank of NLI
 records: a condition takes a record's premise, its fact takes the
-hypothesis, and the record's label is the one that gives the condition
-the evidence the solver resolved (entailment for fact ``a``,
-contradiction for ``not a``); conditions without facts and distractor
-premises use any record's premise. The asked premise/question pair is
-drawn from the bucket matching the template's target relation.
+hypothesis, and the record's label follows the fact's polarity
+(entailment for fact ``a``, contradiction for ``not a``); conditions
+without facts and distractor premises use any record's premise. The
+asked premise/question pair is drawn from the bucket matching the
+template's target relation.
 
 Everything is deterministic in the master seed: template choice and all
 sampling derive per-item seeds by stable hashing, so dev and test splits
@@ -26,7 +26,7 @@ from typing import Iterator
 
 from .errors import BankError, GenerationError, InvariantError
 from .jsonl import JsonlReader
-from .logic import Condition, ConditionGroup, EvidenceState, FactRelation, LogicalType, Verdict, resolve_state
+from .logic import Condition, ConditionGroup, LogicalType, Verdict
 from .templates import (
     TARGET_RELATIONS,
     Template,
@@ -71,7 +71,7 @@ def _derive_seed(*parts) -> int:
     return int.from_bytes(hashlib.sha256(payload).digest()[:8], "big")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NliRecord:
     premise: str
     hypothesis: str
@@ -121,32 +121,25 @@ class NliBank:
         return self.records[rng.randrange(len(self.records))]
 
 
-# MultiNLI-style field names are accepted as aliases.
-_FIELD_ALIASES = {
-    "premise": ("premise", "sentence1"),
-    "hypothesis": ("hypothesis", "sentence2"),
-    "label": ("label", "gold_label"),
-}
-
-
 def load_nli_bank(path) -> NliBank:
     """Load a JSONL bank of ``{premise, hypothesis, label}`` records.
 
-    Malformed lines (bad JSON, non-objects, missing fields, labels
-    outside entailment/contradiction/neutral) are skipped and counted. A bank
-    with no valid records raises :class:`BankError`.
+    MultiNLI-style ``sentence1``, ``sentence2`` and ``gold_label`` are
+    accepted as aliases; a key that is present wins over its alias, even
+    when empty. Malformed lines (bad JSON, non-objects, missing fields,
+    labels outside entailment/contradiction/neutral) are skipped and
+    counted. A bank with no valid records raises :class:`BankError`.
     """
 
     def parse(raw: dict) -> NliRecord:
-        fields = {
-            name: next((raw[a] for a in aliases if a in raw), None)
-            for name, aliases in _FIELD_ALIASES.items()
-        }
-        if not all(isinstance(v, str) and v for v in fields.values()):
+        premise = raw.get("premise", raw.get("sentence1"))
+        hypothesis = raw.get("hypothesis", raw.get("sentence2"))
+        label = raw.get("label", raw.get("gold_label"))
+        if not all(isinstance(v, str) and v for v in (premise, hypothesis, label)):
             raise ValueError("missing or empty fields")
-        if fields["label"] not in NLI_LABELS:
-            raise ValueError(f"unknown label {fields['label']!r}")
-        return NliRecord(**fields)
+        if label not in NLI_LABELS:
+            raise ValueError(f"unknown label {label!r}")
+        return NliRecord(premise, hypothesis, label)
 
     buckets: dict[str, list[NliRecord]] = {label: [] for label in NLI_LABELS}
     with open(path, encoding="utf-8") as handle:
@@ -301,29 +294,9 @@ class TemplatePlan:
     relevant: int | None
     #: Condition ids of the facts, in the template's fact order.
     fact_ids: tuple[str, ...]
-    #: Per group, the labels its records are drawn with, from :func:`_bank_labels`.
+    #: Per group, the label of the bank bucket its result premise is drawn from and, in
+    #: order, those its conditions' records are drawn from; None draws from every record.
     bank_labels: tuple[tuple[str | None, tuple[str | None, ...]], ...]
-
-
-def _bank_labels(groups, relevant) -> tuple[tuple[str | None, tuple[str | None, ...]], ...]:
-    """Per group, the label of the bank bucket its result premise is drawn from and, in
-    order, those its conditions' records are drawn from; None draws from every record.
-
-    The asked group's premise comes from the bucket of its intrinsic relation. A condition
-    with a fact takes the label that gives it the evidence the solver resolved.
-    """
-    return tuple(
-        (
-            _NLI_FOR_RELATION[g.intrinsic_relation] if gi == relevant else None,
-            tuple(
-                None if c.evidence is EvidenceState.NOT_MENTIONED
-                else "entailment" if resolve_state(c.negated, FactRelation.SUPPORTS) is c.evidence
-                else "contradiction"
-                for c in g.conditions
-            ),
-        )
-        for gi, g in enumerate(groups)
-    )
 
 
 def compile_template(template: Template) -> TemplatePlan:
@@ -332,13 +305,20 @@ def compile_template(template: Template) -> TemplatePlan:
     ids = condition_ids(template)
     groups, relevant = template_groups(template)
     groups = tuple(replace(g, conditions=tuple(replace(c, id=ids[c.id]) for c in g.conditions)) for g in groups)
+    fact_labels = {f.var: "contradiction" if f.negated else "entailment" for f in template.facts}
     return TemplatePlan(
         template_id=template.template_id,
         gold=Verdict(symbolic.label, frozenset(ids[v] for v in symbolic.unsatisfied)),
         groups=groups,
         relevant=relevant,
         fact_ids=tuple(ids[f.var] for f in template.facts),
-        bank_labels=_bank_labels(groups, relevant),
+        bank_labels=tuple(
+            (
+                _NLI_FOR_RELATION[template.target_relation] if gi == relevant else None,
+                tuple(fact_labels.get(ref.var) for ref in g.conditions),
+            )
+            for gi, g in enumerate(template.groups)
+        ),
     )
 
 
@@ -402,22 +382,6 @@ def _example(plan: TemplatePlan, example_seed: int, texts) -> Example:
 def _text_count(plan: TemplatePlan) -> int:
     """How many texts :func:`_draw` returns for an example of ``plan``."""
     return sum(1 + len(g.conditions) for g in plan.groups) + len(plan.fact_ids) + 1
-
-
-def instantiate(
-    template: Template | TemplatePlan, bank: NliBank, example_index: int, *, seed: int
-) -> Example:
-    """Fill a template's slots with bank records.
-
-    Deterministic in ``(seed, template.template_id, example_index)``.
-    Condition texts carry their document-order id as a ``Ck:`` prefix;
-    negated condition slots prefix the premise with ``not``. A fact record's
-    label is the one that gives its condition the evidence the solver
-    resolved; its hypothesis text is used verbatim. A bare :class:`Template`
-    is compiled on the spot; pass a :class:`TemplatePlan` to reuse one.
-    """
-    plan = template if isinstance(template, TemplatePlan) else compile_template(template)
-    return _example(plan, *_draw(plan, bank, example_index, seed))
 
 
 SPLITS = ("dev", "test", "train-stream")

@@ -49,8 +49,9 @@ class JsonlReader:
     ``source:line: reason``. The ``strict`` policy raises
     :class:`InvariantError`; the tolerant one logs
     ``source:line: reason, skipping``, counts the line in ``skipped``
-    and goes on. With ``partial_tail``, a last line without a newline is
-    a partially written record: it is reported as such and not parsed.
+    and goes on. With ``partial_tail``, a last non-blank line without a
+    newline is a partially written record: it is reported as such and not
+    parsed.
     Undecodable input raises :class:`InvariantError` naming the source
     under either policy.
 
@@ -69,11 +70,11 @@ class JsonlReader:
     def __iter__(self) -> Iterator:
         try:
             for line_no, line in enumerate(self.lines, start=1):
+                if not line.strip():
+                    continue
                 if self.partial_tail and not line.endswith("\n"):
                     self._fault(line_no, "partial trailing line")
                     return
-                if not line.strip():
-                    continue
                 try:
                     raw = json.loads(line)
                 except json.JSONDecodeError as exc:

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from condlogic import load_nli_bank
+from condlogic.generate import _draw, _example, compile_template
 
 # Two-group reference template: an all-group about the asked premise U
 # with one fact missing, and a fully contradicted any-group distractor.
@@ -12,6 +13,12 @@ Facts: a, c, not d.
 Question: Is u correct?
 Label: entailed, if B
 """
+
+
+def example_of(template, bank, index, *, seed):
+    """The example ``generate_dataset`` makes from ``template`` at ``index`` under split seed ``seed``."""
+    plan = compile_template(template)
+    return _example(plan, *_draw(plan, bank, index, seed))
 
 
 def write_bank(path, n, start=0):

@@ -31,14 +31,13 @@ from condlogic import (
     evaluate_group,
     generate_dataset,
     generate_templates,
-    instantiate,
     parse_template_dsl,
     reference_evaluate,
     render_template_dsl,
     solve_template,
     write_split,
 )
-from conftest import REFERENCE_TEMPLATE
+from conftest import REFERENCE_TEMPLATE, example_of
 
 
 def _pass(name):
@@ -147,7 +146,7 @@ def test_twenty_condition_regime(big_bank):
     for template in wide:
         verdict = solve_template(template)
         assert verdict.label in TaskProfile.CONDNLI.labels
-        example = instantiate(template, big_bank, 0, seed=1)
+        example = example_of(template, big_bank, 0, seed=1)
         assert sum(len(g.conditions) for g in example.context) == 20
 
         logical_type = template.groups[0].logical_type

@@ -80,6 +80,15 @@ def test_partial_trailing_line_skipped(tmp_path, examples, caplog):
     assert read == exs[:2]
     assert any("partial trailing line" in r.message for r in caplog.records)
 
+    # A whitespace-only last line is blank, not a partial record.
+    write_split(exs[:2], path, SplitManifest("dev", 0, config.seed, "h"))
+    with open(path, "a", encoding="utf-8") as handle:
+        handle.write("   ")
+    caplog.clear()
+    with caplog.at_level("WARNING"):
+        assert list(read_split(path)) == exs[:2]
+    assert not caplog.records
+
 
 def test_manifest_count_mismatch_warns(tmp_path, examples, caplog):
     exs, config = examples
@@ -182,10 +191,19 @@ def test_example_from_dict_rejects_non_object():
         (lambda r: r["context"][0]["conditions"][0].update(text=None), "condition text is not a string: None"),
         (lambda r: r["context"][0].update(result_id=0), "result_id is not a string: 0"),
         (lambda r: r["context"][0].update(result={"a": 1}), "result is not a string"),
+        (lambda r: r["context"][0].update(type=["all"]), "unknown group type"),
+        (lambda r: r["context"][0].pop("result_id"), "missing fields: result_id"),
+        (lambda r: r["context"][0].pop("result"), "missing fields: result"),
+        (lambda r: r["context"][0].pop("type"), "missing fields: type"),
+        (lambda r: r["context"][0].pop("conditions"), "missing fields: conditions"),
+        (lambda r: r["context"][0]["conditions"][0].pop("id"), "missing fields: id"),
+        (lambda r: r["context"][0]["conditions"][0].pop("text"), "missing fields: text"),
     ],
     ids=["unsatisfied-str", "facts-str", "context-int", "conditions-int", "condition-str",
          "condition-id-int", "seed-null", "seed-str", "facts-items", "unsatisfied-item-int", "question-list",
-         "template-id-int", "condition-text-null", "result-id-int", "result-object"],
+         "template-id-int", "condition-text-null", "result-id-int", "result-object", "type-list",
+         "result-id-absent", "result-absent", "type-absent", "conditions-absent", "condition-id-absent",
+         "condition-text-absent"],
 )
 def test_malformed_field_skipped_by_read_split(tmp_path, examples, caplog, mutate, fragment):
     exs, _ = examples

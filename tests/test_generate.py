@@ -29,7 +29,6 @@ from condlogic import (
     derive_answer,
     generate_dataset,
     generate_templates,
-    instantiate,
     load_nli_bank,
     parse_template_dsl,
     render_template_dsl,
@@ -40,7 +39,7 @@ from condlogic import (
 )
 from condlogic.dataset_io import example_to_dict, plan_line
 from condlogic.generate import SPLITS, _derive_seed, _draws, compile_template
-from conftest import REFERENCE_TEMPLATE, write_bank
+from conftest import REFERENCE_TEMPLATE, example_of, write_bank
 
 
 # --- bank loading -----------------------------------------------------------
@@ -51,14 +50,23 @@ def test_load_bank_counts(bank):
     assert bank.skipped == 0
 
 
-def test_load_bank_aliases(tmp_path):
+def test_load_bank_aliases(tmp_path, caplog):
     path = tmp_path / "mnli.jsonl"
-    path.write_text(
-        json.dumps({"sentence1": "p", "sentence2": "h", "gold_label": "neutral"}) + "\n",
-        encoding="utf-8",
-    )
-    bank = load_nli_bank(path)
+    records = [
+        {"sentence1": "p", "sentence2": "h", "gold_label": "neutral"},
+        # A present key wins over its alias, even when it is empty or null.
+        {"premise": "", "sentence1": "p", "hypothesis": "h", "label": "neutral"},
+        {"premise": "p", "hypothesis": None, "sentence2": "h", "label": "neutral"},
+        # One record may mix the two schemas.
+        {"premise": "q", "sentence2": "g", "gold_label": "entailment"},
+    ]
+    path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    with caplog.at_level("WARNING"):
+        bank = load_nli_bank(path)
     assert bank.by_label["neutral"] == (NliRecord("p", "h", "neutral"),)
+    assert bank.by_label["entailment"] == (NliRecord("q", "g", "entailment"),)
+    assert bank.skipped == 2
+    assert sum("missing or empty fields" in r.message for r in caplog.records) == 2
 
 
 def test_load_bank_skips_malformed(tmp_path, caplog):
@@ -183,7 +191,7 @@ def test_templates_cover_operators_and_targets():
 def test_instantiate_reference_template(bank):
     template = parse_template_dsl(REFERENCE_TEMPLATE)
     template = type(template)(**{**template.__dict__, "template_id": "T000"})
-    ex = instantiate(template, bank, 0, seed=11)
+    ex = example_of(template, bank, 0, seed=11)
 
     # question comes from the bucket matching the target relation
     assert ex.question.startswith("entailment hypothesis")
@@ -209,10 +217,10 @@ def test_instantiate_reference_template(bank):
 
 def test_instantiate_deterministic(bank):
     template = parse_template_dsl(REFERENCE_TEMPLATE)
-    a = instantiate(template, bank, 3, seed=5)
-    b = instantiate(template, bank, 3, seed=5)
+    a = example_of(template, bank, 3, seed=5)
+    b = example_of(template, bank, 3, seed=5)
     assert a == b
-    c = instantiate(template, bank, 4, seed=5)
+    c = example_of(template, bank, 4, seed=5)
     assert c != a
     assert c.seed != a.seed
 
@@ -221,7 +229,7 @@ def test_instantiate_single_condition_group_is_required(bank):
     template = parse_template_dsl(
         "If all (A), then U.\nFacts: a.\nQuestion: Is u correct?"
     )
-    ex = instantiate(template, bank, 0, seed=1)
+    ex = example_of(template, bank, 0, seed=1)
     assert ex.context[0].logical_type is LogicalType.REQUIRED
 
 
@@ -229,7 +237,7 @@ def test_instantiate_irrelevant_target(bank):
     template = parse_template_dsl(
         "If all (A), then U.\nFacts: a.\nQuestion: Is w correct?\nLabel: irrelevant"
     )
-    ex = instantiate(template, bank, 0, seed=1)
+    ex = example_of(template, bank, 0, seed=1)
     assert ex.gold == Verdict("irrelevant", frozenset())
     assert "hypothesis" in ex.question
 
@@ -243,7 +251,7 @@ def test_instantiate_needs_target_bucket(tmp_path):
     bank = load_nli_bank(path)
     template = parse_template_dsl(REFERENCE_TEMPLATE)
     with pytest.raises(BankError):
-        instantiate(template, bank, 0, seed=1)
+        example_of(template, bank, 0, seed=1)
 
 
 # --- dataset generation -----------------------------------------------------
@@ -389,7 +397,7 @@ def test_dataset_matches_bare_instantiate(bank):
     by_id = {t.template_id: t for t in generate_templates(config)}
     split_seed = _derive_seed(config.seed, "dev")
     for index, ex in enumerate(generate_dataset(config, bank, "dev")):
-        assert ex == instantiate(by_id[ex.template_id], bank, index, seed=split_seed)
+        assert ex == example_of(by_id[ex.template_id], bank, index, seed=split_seed)
 
 
 _configs = st.builds(

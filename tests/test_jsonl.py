@@ -38,11 +38,11 @@ def _expected(lines, unterminated, partial_tail):
     """(records, faulty line numbers) the reader must give, by a plain walk."""
     records, faults = [], []
     for n, (kind, text) in enumerate(lines, start=1):
+        if kind == "blank":
+            continue
         if partial_tail and unterminated and n == len(lines):
             faults.append(n)
             break
-        if kind == "blank":
-            continue
         raw = json.loads(text) if kind == "object" else None
         if raw is not None and not raw.get("reject"):
             records.append(raw)

@@ -14,6 +14,7 @@ from condlogic import (
     HtmlElement,
     InvariantError,
     LogicalType,
+    NliRecord,
     TaskProfile,
     TemplateGroup,
     VarRef,
@@ -309,6 +310,7 @@ _RECORDS = {
     ),
     "Verdict": (lambda: Verdict("entailed", {"C1"}), "label", "neutral"),
     "HtmlElement": (lambda: HtmlElement("h2", "Eligibility"), "text", "Documents"),
+    "NliRecord": (lambda: NliRecord("p", "h", "neutral"), "label", "entailment"),
 }
 
 
