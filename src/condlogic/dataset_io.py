@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, replace
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import __version__
-from .generate import Example, TemplatePlan, _example, _text_count
+from .generate import Example, TemplatePlan, _example
 from .jsonl import (
     JsonlReader, encode_line, int_field, line_skeleton, line_writer, str_field, str_list_field, write_jsonl,
 )
@@ -90,7 +90,7 @@ def plan_line(plan: TemplatePlan) -> Callable[[int, Sequence[str]], str]:
     The layout is :func:`example_to_dict`'s: the line is that of one probe example whose seed
     and texts are placeholders, filled by :func:`jsonl.line_skeleton`.
     """
-    holes = [f"\ue000{i}" for i in range(_text_count(plan))]
+    holes = [f"\ue000{i}" for i in range(len(plan.prefixes) + len(plan.hypotheses))]
     return line_skeleton(example_to_dict(_example(plan, _SEED_HOLE, holes)), _SEED_HOLE, holes)
 
 
@@ -104,7 +104,7 @@ def example_from_dict(raw: dict) -> Example:
     """Deserialize one example record, validating its shape.
 
     Raises ``ValueError`` on missing fields, fields or list items of the
-    wrong type (no value is coerced), malformed condition ids, unknown
+    wrong type (no value is coerced), malformed or repeated condition ids, unknown
     group types, ``required`` groups without exactly one condition,
     answer labels outside the condnli label set, or unsatisfied ids that
     name no condition.
@@ -142,6 +142,8 @@ def example_from_dict(raw: dict) -> Example:
             cid = cond["id"]
             if not isinstance(cid, str) or not _CONDITION_ID_RE.match(cid):
                 raise ValueError(f"malformed condition id {cid!r}")
+            if cid in condition_ids:
+                raise ValueError(f"duplicate condition id {cid!r}")
             condition_ids.add(cid)
             conditions.append(Condition(id=cid, text=str_field(cond["text"], "condition text")))
         if type_token == "required" and len(conditions) != 1:

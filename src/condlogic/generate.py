@@ -284,8 +284,8 @@ class Example:
 @dataclass(frozen=True)
 class TemplatePlan:
     """A validated, solved template: the groups :func:`template_groups`
-    resolved, with condition ids mapped to ``Ck``, and the solver's verdict.
-    Build one with :func:`compile_template`."""
+    resolved, with condition ids mapped to ``Ck``, the solver's verdict, and the
+    records an example draws. Build one with :func:`compile_template`."""
 
     template_id: str
     gold: Verdict
@@ -294,31 +294,44 @@ class TemplatePlan:
     relevant: int | None
     #: Condition ids of the facts, in the template's fact order.
     fact_ids: tuple[str, ...]
-    #: Per group, the label of the bank bucket its result premise is drawn from and, in
-    #: order, those its conditions' records are drawn from; None draws from every record.
-    bank_labels: tuple[tuple[str | None, tuple[str | None, ...]], ...]
+    #: The bank label of each record drawn, in draw order (None: any record); draw k gives context text k's premise.
+    draws: tuple[str | None, ...]
+    #: What precedes each context text's premise: ``""`` for a result, ``Ck: `` or ``Ck: not `` for a condition.
+    prefixes: tuple[str, ...]
+    #: The draws whose hypotheses give the facts, in ``fact_ids`` order, then the question.
+    hypotheses: tuple[int, ...]
 
 
 def compile_template(template: Template) -> TemplatePlan:
-    """Validate and solve a template once, mapping its groups and verdict to ``Ck`` ids."""
+    """Validate and solve a template once, mapping its groups and verdict to ``Ck`` ids, and list its draws."""
     symbolic = solve_template(template)
     ids = condition_ids(template)
     groups, relevant = template_groups(template)
     groups = tuple(replace(g, conditions=tuple(replace(c, id=ids[c.id]) for c in g.conditions)) for g in groups)
-    fact_labels = {f.var: "contradiction" if f.negated else "entailment" for f in template.facts}
+    fact_labels = {ids[f.var]: "contradiction" if f.negated else "entailment" for f in template.facts}
+    # The draw of each group (by index), each condition (by id) and an irrelevant question (None).
+    draws, prefixes, drawn_at = [], [], {}
+    for gi, g in enumerate(groups):
+        drawn_at[gi] = len(draws)
+        draws.append(_NLI_FOR_RELATION[template.target_relation] if gi == relevant else None)
+        prefixes.append("")
+        for c in g.conditions:
+            drawn_at[c.id] = len(draws)
+            draws.append(fact_labels.get(c.id))
+            prefixes.append(f"{c.id}: not " if c.negated else f"{c.id}: ")
+    if relevant is None:  # irrelevant target: the question hypothesis has no premise in context
+        drawn_at[None] = len(draws)
+        draws.append(None)
+    fact_ids = tuple(ids[f.var] for f in template.facts)
     return TemplatePlan(
         template_id=template.template_id,
         gold=Verdict(symbolic.label, frozenset(ids[v] for v in symbolic.unsatisfied)),
         groups=groups,
         relevant=relevant,
-        fact_ids=tuple(ids[f.var] for f in template.facts),
-        bank_labels=tuple(
-            (
-                _NLI_FOR_RELATION[template.target_relation] if gi == relevant else None,
-                tuple(fact_labels.get(ref.var) for ref in g.conditions),
-            )
-            for gi, g in enumerate(template.groups)
-        ),
+        fact_ids=fact_ids,
+        draws=tuple(draws),
+        prefixes=tuple(prefixes),
+        hypotheses=tuple(drawn_at[key] for key in (*fact_ids, relevant)),
     )
 
 
@@ -328,29 +341,9 @@ def _draw(plan: TemplatePlan, bank: NliBank, example_index: int, seed: int) -> t
     ``plan.fact_ids`` order; then the question."""
     example_seed = _derive_seed(seed, plan.template_id, example_index)
     rng = random.Random(example_seed)
-
-    texts: list[str] = []
-    fact_text: dict[str, str] = {}
-    question: str | None = None
-    for g, (label, condition_labels) in zip(plan.groups, plan.bank_labels):
-        if label is None:
-            record = bank.sample_any(rng)
-        else:
-            record = bank.sample(label, rng)
-            question = record.hypothesis
-        texts.append(record.premise)
-        for c, fact_label in zip(g.conditions, condition_labels):
-            if fact_label is None:
-                cond_record = bank.sample_any(rng)
-            else:
-                cond_record = bank.sample(fact_label, rng)
-                fact_text[c.id] = cond_record.hypothesis
-            texts.append(f"{c.id}: not {cond_record.premise}" if c.negated else f"{c.id}: {cond_record.premise}")
-    texts.extend(fact_text[cid] for cid in plan.fact_ids)
-    if question is None:
-        # Irrelevant target: the question hypothesis has no premise in context.
-        question = bank.sample_any(rng).hypothesis
-    texts.append(question)
+    records = [bank.sample_any(rng) if label is None else bank.sample(label, rng) for label in plan.draws]
+    texts = [prefix + record.premise for prefix, record in zip(plan.prefixes, records)]
+    texts.extend(records[k].hypothesis for k in plan.hypotheses)
     return example_seed, texts
 
 
@@ -379,11 +372,6 @@ def _example(plan: TemplatePlan, example_seed: int, texts) -> Example:
     )
 
 
-def _text_count(plan: TemplatePlan) -> int:
-    """How many texts :func:`_draw` returns for an example of ``plan``."""
-    return sum(1 + len(g.conditions) for g in plan.groups) + len(plan.fact_ids) + 1
-
-
 SPLITS = ("dev", "test", "train-stream")
 
 
@@ -397,7 +385,7 @@ def _draws(
     """
     if split not in SPLITS:
         raise InvariantError(f"unknown split {split!r}, expected one of {SPLITS}")
-    bank.require(label for plan in plans for asked, facts in plan.bank_labels for label in (asked, *facts))
+    bank.require(label for plan in plans for label in plan.draws)
     length = {"dev": config.n_dev, "test": config.n_test}.get(split)
     indices = range(length) if length is not None else itertools.count()
     split_seed = _derive_seed(config.seed, split)

@@ -159,31 +159,24 @@ def line_skeleton(record: dict, number_hole: int, text_holes: Sequence[str]) -> 
     ``number_hole`` replaced by ``number`` and each of ``text_holes`` by the text at its
     position in ``texts``.
 
-    ``record`` is encoded once, and split at the holes; a fill encodes only its values,
-    as ``json.dumps`` encodes them (``encode_basestring`` is its encoder of strings
-    when ``ensure_ascii`` is false). Raises :class:`InvariantError` unless each hole's
-    encoding occurs exactly once in the line, clear of the others.
+    ``record`` is encoded once, and cut at the holes in order: the number first, then the
+    texts as given. A fill encodes only its values, as ``json.dumps`` encodes them
+    (``encode_basestring`` is its encoder of strings when ``ensure_ascii`` is false).
+    Raises :class:`InvariantError` unless each hole's encoding occurs exactly once in the
+    line, after the holes before it.
     """
     line = encode_line(record)
-    spans = []
-    for index, hole in enumerate((str(number_hole), *map(encode_basestring, text_holes))):
+    pieces, rest = [], line
+    for hole in (str(number_hole), *map(encode_basestring, text_holes)):
         if line.count(hole) != 1:
             raise InvariantError(f"hole {hole} occurs {line.count(hole)} times in the record's line, expected once")
-        start = line.index(hole)
-        spans.append((start, start + len(hole), index))
-    pattern, end = [], 0
-    for start, stop, index in sorted(spans):
-        if start < end:
-            raise InvariantError("two holes overlap in the record's line")
-        pattern.append(f"{_escape_braces(line[end:start])}{{{index}}}")
-        end = stop
-    pattern.append(_escape_braces(line[end:]))
-    fill = "".join(pattern).format
+        piece, found, rest = rest.partition(hole)
+        if not found:
+            raise InvariantError("two holes overlap, or are out of order, in the record's line")
+        pieces.append(piece)
+    pieces.append(rest)
+    fill = "{}".join(piece.replace("{", "{{").replace("}", "}}") for piece in pieces).format
     return lambda number, texts: fill(str(number), *map(encode_basestring, texts))
-
-
-def _escape_braces(text: str) -> str:
-    return text.replace("{", "{{").replace("}", "}}")
 
 
 @contextmanager

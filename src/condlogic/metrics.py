@@ -82,7 +82,7 @@ def condition_prf(pred_ids, gold_ids) -> tuple[float, float, float]:
     return precision, recall, 2 * precision * recall / (precision + recall)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Prediction:
     example_id: str
     answer_text: str = ""
@@ -94,7 +94,7 @@ class Prediction:
         object.__setattr__(self, "unsatisfied", frozenset(self.unsatisfied))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GoldRecord:
     """Reference record; needs answer references or a gold label."""
 

@@ -168,40 +168,31 @@ def condition_ids(t: Template) -> dict[str, str]:
     return out
 
 
-def _resolve_groups(t: Template, asked_only: bool) -> tuple[list[ConditionGroup], int | None]:
-    """:func:`template_groups`, or with ``asked_only`` the asked group alone (index 0, or ``None``)."""
+def _resolve_groups(t: Template, groups) -> list[ConditionGroup]:
+    """``groups`` of ``t`` as evaluable condition groups, their conditions resolved against its facts."""
     fact_map = {
         f.var: FactRelation.CONTRADICTS if f.negated else FactRelation.SUPPORTS
         for f in t.facts
     }
-    groups: list[ConditionGroup] = []
-    relevant: int | None = None
-    for g in t.groups:
-        is_relevant = g.consequent.lower() == t.question_var
-        if is_relevant:
-            relevant = len(groups)
-        elif asked_only:
-            continue
-        conditions = tuple([
-            Condition(
-                id=ref.var,
-                text=f"not {ref.var}" if ref.negated else ref.var,
-                negated=ref.negated,
-                evidence=resolve_state(ref.negated, fact_map.get(ref.var)),
-            )
-            for ref in g.conditions
-        ])
-        intrinsic = t.target_relation if is_relevant and t.target_relation != "irrelevant" else None
-        groups.append(
-            ConditionGroup(
-                result_id=g.consequent,
-                result_text=g.consequent,
-                logical_type=g.logical_type,
-                conditions=conditions,
-                intrinsic_relation=intrinsic,
-            )
+    intrinsic = None if t.target_relation == "irrelevant" else t.target_relation
+    return [
+        ConditionGroup(
+            result_id=g.consequent,
+            result_text=g.consequent,
+            logical_type=g.logical_type,
+            conditions=tuple([
+                Condition(
+                    id=ref.var,
+                    text=f"not {ref.var}" if ref.negated else ref.var,
+                    negated=ref.negated,
+                    evidence=resolve_state(ref.negated, fact_map.get(ref.var)),
+                )
+                for ref in g.conditions
+            ]),
+            intrinsic_relation=intrinsic if g.consequent.lower() == t.question_var else None,
         )
-    return groups, relevant
+        for g in groups
+    ]
 
 
 def template_groups(t: Template) -> tuple[list[ConditionGroup], int | None]:
@@ -211,7 +202,8 @@ def template_groups(t: Template) -> tuple[list[ConditionGroup], int | None]:
     index of the group the question asks about, ``None`` when the
     question matches no premise. Solving builds only the asked group.
     """
-    return _resolve_groups(t, asked_only=False)
+    relevant = next((gi for gi, g in enumerate(t.groups) if g.consequent.lower() == t.question_var), None)
+    return _resolve_groups(t, t.groups), relevant
 
 
 def solve_template(t: Template) -> Verdict:
@@ -231,8 +223,8 @@ def _solve_valid(t: Template) -> Verdict:
     Only the group the question asks about decides the answer, so it is
     the only group resolved.
     """
-    groups, relevant = _resolve_groups(t, asked_only=True)
-    return derive_answer(groups, relevant, TaskProfile.CONDNLI)
+    asked = [g for g in t.groups if g.consequent.lower() == t.question_var]
+    return derive_answer(_resolve_groups(t, asked), 0 if asked else None, TaskProfile.CONDNLI)
 
 
 # --- textual form ---------------------------------------------------------

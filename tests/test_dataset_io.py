@@ -198,12 +198,15 @@ def test_example_from_dict_rejects_non_object():
         (lambda r: r["context"][0].pop("conditions"), "missing fields: conditions"),
         (lambda r: r["context"][0]["conditions"][0].pop("id"), "missing fields: id"),
         (lambda r: r["context"][0]["conditions"][0].pop("text"), "missing fields: text"),
+        (lambda r: r["context"][0]["conditions"].append(dict(r["context"][0]["conditions"][0])),
+         "duplicate condition id 'C0'"),
+        (lambda r: r["context"].append(json.loads(json.dumps(r["context"][0]))), "duplicate condition id 'C0'"),
     ],
     ids=["unsatisfied-str", "facts-str", "context-int", "conditions-int", "condition-str",
          "condition-id-int", "seed-null", "seed-str", "facts-items", "unsatisfied-item-int", "question-list",
          "template-id-int", "condition-text-null", "result-id-int", "result-object", "type-list",
          "result-id-absent", "result-absent", "type-absent", "conditions-absent", "condition-id-absent",
-         "condition-text-absent"],
+         "condition-text-absent", "condition-id-repeated-in-group", "condition-id-repeated-across-groups"],
 )
 def test_malformed_field_skipped_by_read_split(tmp_path, examples, caplog, mutate, fragment):
     exs, _ = examples

@@ -38,7 +38,7 @@ from condlogic import (
     validate_template,
 )
 from condlogic.dataset_io import example_to_dict, plan_line
-from condlogic.generate import SPLITS, _derive_seed, _draws, compile_template
+from condlogic.generate import SPLITS, _derive_seed, _draw, _draws, compile_template
 from conftest import REFERENCE_TEMPLATE, example_of, write_bank
 
 
@@ -432,6 +432,20 @@ def test_plan_gold_matches_solver(big_bank, config):
         ]
         relevant_ids = {c.id for gi in relevant for c in ex.context[gi].conditions}
         assert ex.gold.unsatisfied <= relevant_ids
+
+
+@pytest.mark.parametrize(
+    "dsl", [REFERENCE_TEMPLATE, REFERENCE_TEMPLATE.replace("Is u", "Is w").replace("entailed, if B", "irrelevant")],
+    ids=["asked", "irrelevant"],
+)
+def test_draw_samples_the_bank_once_per_listed_draw(bank, dsl):
+    plan = compile_template(parse_template_dsl(dsl))
+    assert (plan.relevant is None) == ("irrelevant" in dsl)
+    with mock.patch.object(NliBank, "sample", autospec=True, side_effect=NliBank.sample) as sample, \
+            mock.patch.object(NliBank, "sample_any", autospec=True, side_effect=NliBank.sample_any) as sample_any:
+        _draw(plan, bank, 3, 11)
+    assert sample_any.call_count == plan.draws.count(None)
+    assert sample.call_count + sample_any.call_count == len(plan.draws)
 
 
 _FACT_RELATION = {"entailment": FactRelation.SUPPORTS, "contradiction": FactRelation.CONTRADICTS}

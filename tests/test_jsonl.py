@@ -167,8 +167,9 @@ def test_line_skeleton_fills_the_line_of_encode_line(number, texts):
         ({"n": 99, "a": "x"}, ["y"], 'hole "y" occurs 0 times'),
         ({"n": 99, "m": 99, "a": "x"}, ["x"], "hole 99 occurs 2 times"),
         ({"a": "x99"}, ["x99"], "two holes overlap"),  # the number is 99, inside the text
+        ({"n": 99, "a": "x", "b": "y"}, ["y", "x"], "out of order"),
     ],
-    ids=["repeated", "missing", "repeated-number", "overlap"],
+    ids=["repeated", "missing", "repeated-number", "overlap", "out-of-order"],
 )
 def test_line_skeleton_needs_each_hole_once(record, holes, message):
     with pytest.raises(InvariantError, match=re.escape(message)):

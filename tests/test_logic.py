@@ -10,11 +10,13 @@ from condlogic import (
     ConditionLabel,
     EvidenceState,
     FactRelation,
+    GoldRecord,
     GroupStatus,
     HtmlElement,
     InvariantError,
     LogicalType,
     NliRecord,
+    Prediction,
     TaskProfile,
     TemplateGroup,
     VarRef,
@@ -311,6 +313,8 @@ _RECORDS = {
     "Verdict": (lambda: Verdict("entailed", {"C1"}), "label", "neutral"),
     "HtmlElement": (lambda: HtmlElement("h2", "Eligibility"), "text", "Documents"),
     "NliRecord": (lambda: NliRecord("p", "h", "neutral"), "label", "entailment"),
+    "Prediction": (lambda: Prediction("e0", "yes", {"C1"}), "label", "entailed"),
+    "GoldRecord": (lambda: GoldRecord("e0", ["yes"], {"C1"}), "label", "entailed"),
 }
 
 
