@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .contexts import group_elements, load_html_elements
 from .dataset_io import SplitManifest, _sorted_ids, group_to_dict, manifest_path, plan_line, write_split
-from .errors import ToolkitError
+from .errors import ParseError, ToolkitError
 from .generate import (
     GenConfig,
     _draws,
@@ -160,7 +160,10 @@ def cmd_solve(args) -> int:
             # solved as it is read; the lines already read keep their numbers.
             templates = JsonlReader(chain(head, handle), source, solve_record, strict=True)
         else:
-            templates = [(None, parse_template_dsl(text))]
+            try:
+                templates = [(None, parse_template_dsl(text))]
+            except ParseError as exc:
+                raise ToolkitError(f"{source}: {exc}") from None
         with jsonl_writer(args.out or None) as write:  # an empty --out writes nothing, as no --out
             # The parser has checked each template's rules.
             for template_id, template in templates:

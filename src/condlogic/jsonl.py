@@ -31,6 +31,10 @@ logger = logging.getLogger(__name__)
 # for a backslash first keeps the slower scan off most clean lines.
 _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
 
+# What json.dumps(record, ensure_ascii=False) returns, with one encoder for every line
+# (json.dumps builds a new one per call when an option is given).
+_encode = json.JSONEncoder(ensure_ascii=False).encode
+
 
 def undecodable(source, exc: UnicodeDecodeError) -> InvariantError:
     """The error for input that is not UTF-8 text."""
@@ -85,7 +89,7 @@ class JsonlReader:
                     continue
                 if "\\" in line and _SURROGATE_ESCAPE.search(line):
                     try:
-                        json.dumps(raw, ensure_ascii=False).encode("utf-8")
+                        _encode(raw).encode("utf-8")
                     except UnicodeEncodeError:
                         self._fault(line_no, "lone surrogate escape in a string")
                         continue
@@ -151,7 +155,7 @@ def encode_line(record: dict) -> str:
 
     Non-ASCII text is written as is, not as ``\\u`` escapes.
     """
-    return json.dumps(record, ensure_ascii=False) + "\n"
+    return _encode(record) + "\n"
 
 
 def line_skeleton(record: dict, number_hole: int, text_holes: Sequence[str]) -> Callable[[int, Iterable[str]], str]:

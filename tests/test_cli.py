@@ -112,6 +112,20 @@ def test_solve_parse_error_exits_one(tmp_path, capsys):
     assert "line 1" in err
 
 
+@pytest.mark.parametrize("stdin", [False, True], ids=["file", "stdin"])
+def test_solve_parse_error_names_the_source(tmp_path, capsys, monkeypatch, stdin):
+    text = "\ufeff" + REFERENCE_TEMPLATE
+    path = tmp_path / "t.txt"
+    path.write_text(text, encoding="utf-8")
+    if stdin:
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, out, err = run(capsys, "solve", *(["--stdin"] if stdin else ["--file", str(path)]))
+    assert code == 1
+    assert out == ""
+    source = "<stdin>" if stdin else path
+    assert err == f"error: {source}: line 1, column 1: unexpected character '\\ufeff'\n"
+
+
 def test_solve_no_input_exits_one(capsys):
     code, _, err = run(capsys, "solve")
     assert code == 1
@@ -191,7 +205,7 @@ def test_solve_fuzz_stdin(text):
         exc = _parse_error(text)
         assert code == (1 if exc else 0)
         if exc:
-            assert err == f"error: {exc}\n"
+            assert err == f"error: <stdin>: {exc}\n"
 
 
 # Lines that are not a usable templates.jsonl record.

@@ -1,6 +1,7 @@
 import dataclasses
 import random
 import re
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -90,6 +91,11 @@ def test_single_condition_group_parses():
         ("If all (A), then U.\nFacts: a, a.\nQuestion: Is u correct?", "duplicate fact"),
         ("If all (A), then U\nFacts: a.\nQuestion: Is u correct?", "expected"),
         ("If all (), then U.\nFacts: a.\nQuestion: Is u correct?", "condition variable"),
+        # A bare "not" is a prefix missing its variable, never a fact variable itself.
+        (
+            "If all (NOT), then U.\nFacts: not.\nQuestion: Is u correct?",
+            "line 2, column 11: expected fact variable, found '.'",
+        ),
         ("", "expected"),
     ],
 )
@@ -304,6 +310,14 @@ def templates(draw):
 def test_round_trip_identity(t):
     validate_template(t)
     assert parse_template_dsl(render_template_dsl(t)) == t
+
+
+@given(templates())
+def test_rendered_text_never_takes_the_token_walk(t):
+    # The walk only reports faults: a regex that stops matching well-formed
+    # text, and so sends it to the walk, fails here rather than only slowing.
+    with mock.patch("condlogic.templates._parse_tokens", side_effect=AssertionError("took the token walk")):
+        assert parse_template_dsl(render_template_dsl(t)) == t
 
 
 @given(templates())
@@ -584,8 +598,8 @@ def _outcome(parse, text):
 # str.isspace must agree on; then tokens of the grammar.
 _INSERTS = st.one_of(
     st.sampled_from(["1", "\u00e9", "-", "\r\n", "\r", "\n", "\x0c", "\x1c", "\x1f", "\x85", "\u2028", " "]),
-    st.sampled_from(["A1", "C12", "not ", "A", "u", ",", ".", "(", ")", ":", "?", "If", "all", "then",
-                     "Label", ", if C1", "if"]),
+    st.sampled_from(["A1", "C12", "not ", "not", " not ", "NOT", "A", "u", ",", ".", "(", ")", ":", "?", "If",
+                     "all", "then", "Is", "Label", ", if C1", "if"]),
 )
 
 
