@@ -204,7 +204,8 @@ def cmd_parse_context(args) -> int:
 
 def cmd_evaluate(args) -> int:
     profile = _PROFILES[args.profile]
-    report = evaluate_files(args.pred, args.gold, profile, per_example_path=args.per_example)
+    # An empty --per-example writes nothing, as no --per-example.
+    report = evaluate_files(args.pred, args.gold, profile, per_example_path=args.per_example or None)
     print(format_report(report, profile))
     return 0
 

@@ -36,13 +36,30 @@ def normalize_text(text: str) -> list[str]:
     return _ARTICLES_RE.sub(" ", text.lower().translate(_PUNCTUATION)).split()
 
 
+def _clipped(pred_items, ref_items) -> int:
+    """How many predicted items match a reference item, each reference copy matched once.
+
+    Equal to ``sum((Counter(pred_items) & Counter(ref_items)).values())``.
+    """
+    left: dict = {}  # unmatched reference copies per item
+    get = left.get
+    for item in ref_items:
+        left[item] = get(item, 0) + 1
+    matched = 0
+    for item in pred_items:
+        if get(item):
+            left[item] -= 1
+            matched += 1
+    return matched
+
+
 def _token_f1(pred_tokens: list[str], ref_tokens: list[str]) -> float:
-    if not pred_tokens and not ref_tokens:
+    if pred_tokens == ref_tokens:
+        # Both empty, or every token matched: precision and recall are 1.
         return 1.0
     if not pred_tokens or not ref_tokens:
         return 0.0
-    common = Counter(pred_tokens) & Counter(ref_tokens)
-    overlap = sum(common.values())
+    overlap = _clipped(pred_tokens, ref_tokens)
     if overlap == 0:
         return 0.0
     precision = overlap / len(pred_tokens)
@@ -51,9 +68,16 @@ def _token_f1(pred_tokens: list[str], ref_tokens: list[str]) -> float:
 
 
 def answer_em_f1(pred: str, refs: list[str]) -> tuple[int, float]:
-    """Exact match and token F1 against references, best reference wins."""
+    """Exact match and token F1 against references, best reference wins.
+
+    Texts are compared after :func:`normalize_text`. A prediction equal to
+    a reference scores ``(1, 1.0)``, the best score, without normalising:
+    equal texts normalise alike.
+    """
     if not refs:
         raise InvariantError("answer scoring needs at least one reference")
+    if pred in refs:
+        return 1, 1.0
     pred_tokens = normalize_text(pred)
     em = 0
     f1 = 0.0
@@ -169,7 +193,7 @@ def bleu(pred: str, ref: str, max_n: int = 4) -> float:
         else:
             cand_grams = zip(*(candidate[i:] for i in range(n)))
             ref_grams = zip(*(reference[i:] for i in range(n)))
-        clipped = sum((Counter(cand_grams) & Counter(ref_grams)).values())
+        clipped = _clipped(cand_grams, ref_grams)
         if clipped == 0:
             return 0.0
         log_precisions.append(math.log(clipped / total))

@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 import condlogic.dataset_io as dataset_io_module
 import condlogic.generate as generate_module
+import condlogic.metrics as metrics_module
 from condlogic import (
     KNOWN_TAGS,
     GenConfig,
@@ -819,6 +820,31 @@ def test_evaluate_self(tmp_path, capsys, monkeypatch, bank_path, rows):
         assert len(verdicts.read_text(encoding="utf-8").splitlines()) == 8
     else:
         assert not per_example.exists() and not verdicts.exists()
+
+
+@pytest.mark.parametrize("profile", ["condnli", "sharc"])
+def test_empty_output_path_is_not_asked(tmp_path, capsys, monkeypatch, bank_path, profile):
+    """``solve --out ""`` and ``evaluate --per-example ""`` run as without the flag."""
+    out_dir = tmp_path / "data"
+    run(capsys, "generate", "--bank", str(bank_path), "--out", str(out_dir), "--seed", "3",
+        "--templates", "8", "--dev", "20", "--test", "0")
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    solve = ("solve", "--file", str(out_dir / "templates.jsonl"))
+    unflagged = run(capsys, *solve)
+    assert unflagged[0] == 0
+    assert run(capsys, *solve, "--out", "") == unflagged
+    evaluate = ("evaluate", "--pred", str(out_dir / "dev.jsonl"), "--gold", str(out_dir / "dev.jsonl"),
+                "--profile", profile)
+    with mock.patch.object(metrics_module, "bleu", wraps=metrics_module.bleu) as spy:
+        unflagged = run(capsys, *evaluate)
+        unflagged_calls = spy.call_count
+        assert unflagged[0] == 0
+        assert run(capsys, *evaluate, "--per-example", "") == unflagged
+    # BLEU is scored only when the profile prints it: 2 orders for each of the 20 questions.
+    assert unflagged_calls == spy.call_count - unflagged_calls == (40 if profile == "sharc" else 0)
+    assert list(cwd.iterdir()) == []
 
 
 @pytest.mark.parametrize("profile", ["condnli", "conditionalqa", "sharc"])

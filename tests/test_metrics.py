@@ -86,6 +86,56 @@ def test_answer_em_f1_requires_references():
         answer_em_f1("x", [])
 
 
+def _token_f1_counter(pred_tokens: list[str], ref_tokens: list[str]) -> float:
+    """``_token_f1`` as first written: the overlap is a ``Counter`` intersection."""
+    if not pred_tokens and not ref_tokens:
+        return 1.0
+    if not pred_tokens or not ref_tokens:
+        return 0.0
+    common = Counter(pred_tokens) & Counter(ref_tokens)
+    overlap = sum(common.values())
+    if overlap == 0:
+        return 0.0
+    precision = overlap / len(pred_tokens)
+    recall = overlap / len(ref_tokens)
+    return 2 * precision * recall / (precision + recall)
+
+
+def _answer_em_f1_counter(pred: str, refs: list[str]) -> tuple[int, float]:
+    """``answer_em_f1`` as first written: the prediction and every reference normalised and scored."""
+    if not refs:
+        raise InvariantError("answer scoring needs at least one reference")
+    pred_tokens = _normalize_text_nested(pred)
+    em = 0
+    f1 = 0.0
+    for ref in refs:
+        ref_tokens = _normalize_text_nested(ref)
+        em = max(em, int(pred_tokens == ref_tokens))
+        f1 = max(f1, _token_f1_counter(pred_tokens, ref_tokens))
+    return em, f1
+
+
+# A small vocabulary makes repeated tokens, partial overlaps and exact answers common.
+_answer_words = ["a", "the", "The", "cat", "cat.", "dog", "up", "1200"]
+_answer_texts = st.lists(st.sampled_from(_answer_words), max_size=6).map(" ".join)
+
+
+@given(_answer_texts, st.lists(_answer_texts, min_size=1, max_size=3), st.none() | st.integers(0, 3))
+@example("up to 1200", ["x", "up to 1200"], None)  # the prediction is a reference
+@example("The cat.", ["cat"], None)  # normalised alike, not equal
+@example("the", ["a"], None)  # articles only: both normalise to nothing, (1, 1.0) the slow way
+def test_answer_em_f1_matches_counter_oracle(pred, refs, pred_at):
+    if pred_at is not None:
+        refs = refs[:pred_at] + [pred] + refs[pred_at:]
+    em, f1 = answer_em_f1(pred, refs)
+    expected_em, expected_f1 = _answer_em_f1_counter(pred, refs)
+    assert (type(em), em, f1.hex()) == (int, expected_em, expected_f1.hex())
+    pred_tokens = normalize_text(pred)
+    for ref_tokens in map(normalize_text, refs):
+        f1 = metrics_module._token_f1(pred_tokens, ref_tokens)
+        assert f1.hex() == _token_f1_counter(pred_tokens, ref_tokens).hex()
+
+
 def test_condition_prf():
     assert condition_prf(set(), set()) == (1.0, 1.0, 1.0)
     assert condition_prf({"B"}, {"B"}) == (1.0, 1.0, 1.0)
@@ -216,6 +266,8 @@ _separators = st.sampled_from([" ", "  ", "\t", " \n "])
 )
 @example((["a", "b"], ["a", "b"]), " ", " ", 3)
 @example((["a", "b", "c"], ["a", "b", "c"]), " ", "\t", 3)
+@example((["a"] * 4, ["a", "a", "b", "a", "a"]), " ", " ", 4)  # "a a" is clipped to 2 of 3
+@example((["a"] * 5, ["a"] * 4), " ", " ", 4)  # clipped at every order: 4 of 5, 3 of 4, 2 of 3, 1 of 2
 def test_bleu_matches_counter_oracle(tokens, cand_sep, ref_sep, max_n):
     cand, ref = cand_sep.join(tokens[0]), ref_sep.join(tokens[1])
     assert bleu(cand, ref, max_n).hex() == _bleu_counter(cand, ref, max_n).hex()
@@ -620,8 +672,33 @@ def _label_accuracy_listed(pred_labels: list[str], gold_labels: list[str]) -> tu
     return micro, macro
 
 
+def _score_example_counter(pred: Prediction | None, gold: GoldRecord, *, with_bleu: bool) -> dict:
+    """``score_example`` from the oracles: every reference normalised, every count clipped by ``Counter``."""
+    if pred is None:
+        pred = Prediction(example_id=gold.example_id)
+    em, f1 = _answer_em_f1_counter(pred.answer_text, list(gold.references))
+    cond_p, cond_r, cond_f1 = condition_prf(pred.unsatisfied, gold.unsatisfied)
+    scored = with_bleu and gold.question is not None
+    return {
+        "id": gold.example_id,
+        "em": float(em),
+        "f1": f1,
+        "conditional_em": em * cond_f1,
+        "conditional_f1": f1 * cond_f1,
+        "condition_p": cond_p,
+        "condition_r": cond_r,
+        "condition_f1": cond_f1,
+        "label_correct": None if gold.label is None else int(_predicted_label_listed(pred) == gold.label),
+        "bleu1": _bleu_counter(pred.question or "", gold.question, 1) if scored else None,
+        "bleu4": _bleu_counter(pred.question or "", gold.question, 4) if scored else None,
+    }
+
+
 def _evaluate_files_staged(pred_path, gold_path, profile: TaskProfile, per_example_path=None) -> EvalReport:
-    """``evaluate_files`` as it was before it streamed: a gold list, a row list and a pass per column."""
+    """``evaluate_files`` as it was before it streamed: a gold list, a row list and a pass per column.
+
+    Rows are scored by :func:`_score_example_counter`, so the live scorer's shortcuts are checked too.
+    """
     golds = _read_gold_file_list(gold_path)
     if not golds:
         raise InvariantError(f"gold file {gold_path!r} holds no records")
@@ -634,7 +711,7 @@ def _evaluate_files_staged(pred_path, gold_path, profile: TaskProfile, per_examp
     missing = sum(1 for g in golds if g.example_id not in predictions)
 
     with_bleu = "bleu" in metrics_module._PROFILE_ROWS[profile] or per_example_path is not None
-    rows = [score_example(predictions.get(g.example_id), g, with_bleu=with_bleu) for g in golds]
+    rows = [_score_example_counter(predictions.get(g.example_id), g, with_bleu=with_bleu) for g in golds]
 
     labelled = [g for g in golds if g.label is not None]
     micro = macro = None
