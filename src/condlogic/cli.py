@@ -24,12 +24,15 @@ from .errors import ParseError, ToolkitError
 from .generate import (
     GenConfig,
     _draws,
+    _texts,
     compile_template,
     config_hash,
     generate_templates,
     load_nli_bank,
 )
-from .jsonl import JsonlReader, _refuse_to_overwrite, jsonl_writer, optional_field, str_field, undecodable, write_jsonl
+from .jsonl import (
+    JsonlReader, _refuse_to_overwrite, jsonl_writer, optional_field, str_field, string_body, undecodable, write_jsonl,
+)
 from .logic import LogicalType, TaskProfile, enumerate_assignments
 from .metrics import evaluate_files, format_report
 from .templates import _solve_valid, condition_ids, parse_template_dsl, render_template_dsl
@@ -84,11 +87,14 @@ def cmd_generate(args) -> int:
     print(f"templates   {len(templates):>6}  {templates_path}")
 
     histogram: Counter = Counter()
+    # Each bank text is escaped once, here, not on every draw of it.
+    premises = [string_body(record.premise) for record in bank.records]
+    hypotheses = [string_body(record.hypothesis) for record in bank.records]
 
     def counted(stream):
-        for plan, example_seed, texts in stream:
+        for plan, example_seed, picks in stream:
             histogram[plan.gold.label] += 1
-            yield lines[plan.template_id](example_seed, texts)
+            yield lines[plan.template_id](example_seed, _texts(plan, picks, premises, hypotheses))
 
     for name, stream in streams.items():
         manifest = write_split(

@@ -84,13 +84,15 @@ _SEED_HOLE = 2**64
 
 
 def plan_line(plan: TemplatePlan) -> Callable[[int, Sequence[str]], str]:
-    """``line(example_seed, texts)``: the line :func:`write_split` writes for the example of
-    ``plan`` with that seed and the texts ``generate._draw`` returns, made without the example.
+    """``line(example_seed, bodies)``: the line :func:`write_split` writes for the example of
+    ``plan`` with that seed and the texts ``generate._texts`` places, made without the example;
+    ``bodies`` are those texts' :func:`jsonl.string_body`.
 
     The layout is :func:`example_to_dict`'s: the line is that of one probe example whose seed
-    and texts are placeholders, filled by :func:`jsonl.line_skeleton`.
+    and texts are placeholders, filled by :func:`jsonl.line_skeleton`. A ``Ck: `` prefix stays
+    in the line; the braces keep hole ``1`` from being part of hole ``10``.
     """
-    holes = [f"\ue000{i}" for i in range(len(plan.prefixes) + len(plan.hypotheses))]
+    holes = [f"\ue000{{{i}}}" for i in range(len(plan.prefixes) + len(plan.hypotheses))]
     return line_skeleton(example_to_dict(_example(plan, _SEED_HOLE, holes)), _SEED_HOLE, holes)
 
 

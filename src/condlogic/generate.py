@@ -11,7 +11,9 @@ template's target relation.
 
 Everything is deterministic in the master seed: template choice and all
 sampling derive per-item seeds by stable hashing, so dev and test splits
-never share randomness.
+never share randomness. An example's draws are indices into the bank's
+records, from which the generator and the CLI place raw or JSON-escaped
+texts by one rule.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import Iterator
 
 from .errors import BankError, GenerationError, InvariantError
 from .jsonl import JsonlReader
-from .logic import Condition, ConditionGroup, LogicalType, Verdict
+from .logic import Condition, ConditionGroup, LogicalType, TaskProfile, Verdict, derive_answer
 from .templates import (
     TARGET_RELATIONS,
     Template,
@@ -34,8 +36,8 @@ from .templates import (
     VarRef,
     condition_ids,
     render_template_dsl,
-    solve_template,
     template_groups,
+    validate_template,
 )
 
 NLI_LABELS = ("entailment", "contradiction", "neutral")
@@ -69,6 +71,18 @@ def _derive_seed(*parts) -> int:
     identical across interpreter runs)."""
     payload = "\x1f".join(str(p) for p in parts).encode("utf-8")
     return int.from_bytes(hashlib.sha256(payload).digest()[:8], "big")
+
+
+def _seed_prefix(*parts):
+    """A sha256 fed ``parts`` as :func:`_derive_seed` joins them, each followed by the separator."""
+    return hashlib.sha256("".join(f"{p}\x1f" for p in parts).encode("utf-8"))
+
+
+def _seed_after(prefix, tail: str) -> int:
+    """``_derive_seed(*parts, tail)`` for the ``prefix`` that :func:`_seed_prefix` made of ``parts``."""
+    digest = prefix.copy()
+    digest.update(tail.encode("utf-8"))
+    return int.from_bytes(digest.digest()[:8], "big")
 
 
 @dataclass(frozen=True, slots=True)
@@ -107,6 +121,16 @@ class NliBank:
         for label in labels:
             if label is not None and not self.by_label.get(label):
                 raise BankError(f"bank {self.path!r} has no {label!r} records")
+
+    def span(self, label: str | None) -> tuple[int, int]:
+        """``(offset, size)`` of the ``label`` bucket in ``records`` (None: all of them), :meth:`require`-d:
+        ``records[offset + rng.randrange(size)]`` is the record :meth:`sample` (:meth:`sample_any`) draws."""
+        if label is None:
+            return 0, len(self.records)
+        self.require((label,))
+        sizes = list(self.counts.values())
+        at = NLI_LABELS.index(label)
+        return sum(sizes[:at]), sizes[at]
 
     def sample(self, label: str, rng: random.Random) -> NliRecord:
         bucket = self.by_label.get(label)
@@ -304,7 +328,7 @@ class TemplatePlan:
 
 def compile_template(template: Template) -> TemplatePlan:
     """Validate and solve a template once, mapping its groups and verdict to ``Ck`` ids, and list its draws."""
-    symbolic = solve_template(template)
+    validate_template(template)
     ids = condition_ids(template)
     groups, relevant = template_groups(template)
     groups = tuple(replace(g, conditions=tuple(replace(c, id=ids[c.id]) for c in g.conditions)) for g in groups)
@@ -325,7 +349,7 @@ def compile_template(template: Template) -> TemplatePlan:
     fact_ids = tuple(ids[f.var] for f in template.facts)
     return TemplatePlan(
         template_id=template.template_id,
-        gold=Verdict(symbolic.label, frozenset(ids[v] for v in symbolic.unsatisfied)),
+        gold=derive_answer(groups, relevant, TaskProfile.CONDNLI),
         groups=groups,
         relevant=relevant,
         fact_ids=fact_ids,
@@ -335,21 +359,23 @@ def compile_template(template: Template) -> TemplatePlan:
     )
 
 
-def _draw(plan: TemplatePlan, bank: NliBank, example_index: int, seed: int) -> tuple[int, list[str]]:
-    """The example seed and the texts drawn for one example of ``plan``, in record order:
-    per group its result premise, then each full condition text; then the facts in
-    ``plan.fact_ids`` order; then the question."""
-    example_seed = _derive_seed(seed, plan.template_id, example_index)
-    rng = random.Random(example_seed)
-    records = [bank.sample_any(rng) if label is None else bank.sample(label, rng) for label in plan.draws]
-    texts = [prefix + record.premise for prefix, record in zip(plan.prefixes, records)]
-    texts.extend(records[k].hypothesis for k in plan.hypotheses)
-    return example_seed, texts
+def _draw(spans, rng: random.Random) -> list[int]:
+    """The ``bank.records`` index of the record drawn from each :meth:`NliBank.span` in
+    ``spans``: the ``randrange`` calls ``NliBank.sample``/``sample_any`` make, in order."""
+    return [offset + rng.randrange(size) for offset, size in spans]
+
+
+def _texts(plan: TemplatePlan, picks, premises, hypotheses) -> list:
+    """The texts of an example drawn at ``picks`` (``premises[i]`` and ``hypotheses[i]`` belong to
+    record ``i``), in record order: per group its result premise, then each condition's premise;
+    then the facts' hypotheses in ``plan.fact_ids`` order; then the question's."""
+    return [premises[i] for i in picks[: len(plan.prefixes)]] + [hypotheses[picks[k]] for k in plan.hypotheses]
 
 
 def _example(plan: TemplatePlan, example_seed: int, texts) -> Example:
-    """The example of ``plan`` with the seed and the texts :func:`_draw` returns."""
-    it = iter(texts)
+    """The example of ``plan`` with the seed and the raw texts :func:`_texts` places; each
+    context text gets its ``plan.prefixes`` entry."""
+    it = map(str.__add__, plan.prefixes, texts)
     groups = []
     for gi, g in enumerate(plan.groups):
         result_text = next(it)
@@ -361,11 +387,11 @@ def _example(plan: TemplatePlan, example_seed: int, texts) -> Example:
                 conditions=tuple(Condition(id=c.id, text=next(it)) for c in g.conditions),
             )
         )
-    facts = tuple(itertools.islice(it, len(plan.fact_ids)))
+    hypotheses = texts[len(plan.prefixes):]
     return Example(
         context=tuple(groups),
-        facts=facts,
-        question=next(it),
+        facts=tuple(hypotheses[:-1]),
+        question=hypotheses[-1],
         gold=plan.gold,
         template_id=plan.template_id,
         seed=example_seed,
@@ -375,28 +401,40 @@ def _example(plan: TemplatePlan, example_seed: int, texts) -> Example:
 SPLITS = ("dev", "test", "train-stream")
 
 
+def _drawer(config: GenConfig, bank: NliBank, split: str, plans: list[TemplatePlan]):
+    """``draw(index)``: ``(plan, example_seed, picks)`` for the example at ``index`` of a split.
+
+    ``plans[Random(_derive_seed(config.seed, split, index, "pick")).randrange(len(plans))]``, then
+    ``_draw`` under ``Random(_derive_seed(_derive_seed(config.seed, split), plan.template_id, index))``;
+    each seed continues a hash prefix made here, and seeds one reused ``Random``. Checks the bank.
+    """
+    split_seed = _derive_seed(config.seed, split)
+    table = [(plan, _seed_prefix(split_seed, plan.template_id), [bank.span(d) for d in plan.draws]) for plan in plans]
+    pick_prefix = _seed_prefix(config.seed, split)
+    rng = random.Random()
+
+    def draw(index: int) -> tuple[TemplatePlan, int, list[int]]:
+        rng.seed(_seed_after(pick_prefix, f"{index}\x1fpick"))
+        plan, prefix, spans = table[rng.randrange(len(table))]
+        example_seed = _seed_after(prefix, str(index))
+        rng.seed(example_seed)
+        return plan, example_seed, _draw(spans, rng)
+
+    return draw
+
+
 def _draws(
     config: GenConfig, bank: NliBank, split: str, plans: list[TemplatePlan]
-) -> Iterator[tuple[TemplatePlan, int, list[str]]]:
-    """``(plan, example_seed, texts)`` per example of a split, as :func:`_draw` makes them.
+) -> Iterator[tuple[TemplatePlan, int, list[int]]]:
+    """``(plan, example_seed, picks)`` per example of a split, as :func:`_drawer` makes them.
 
     The split name and the bank (for every label the plans draw) are checked when this
     is called, before any example is drawn: a fault raises here, not on the first ``next``.
     """
     if split not in SPLITS:
         raise InvariantError(f"unknown split {split!r}, expected one of {SPLITS}")
-    bank.require(label for plan in plans for label in plan.draws)
     length = {"dev": config.n_dev, "test": config.n_test}.get(split)
-    indices = range(length) if length is not None else itertools.count()
-    split_seed = _derive_seed(config.seed, split)
-
-    def draws():
-        for index in indices:
-            pick = random.Random(_derive_seed(config.seed, split, index, "pick"))
-            plan = plans[pick.randrange(len(plans))]
-            yield (plan, *_draw(plan, bank, index, split_seed))
-
-    return draws()
+    return map(_drawer(config, bank, split, plans), range(length) if length is not None else itertools.count())
 
 
 def generate_dataset(config: GenConfig, bank: NliBank, split: str) -> Iterator[Example]:
@@ -411,4 +449,9 @@ def generate_dataset(config: GenConfig, bank: NliBank, split: str) -> Iterator[E
     raises here, not on the first ``next``.
     """
     plans = [compile_template(t) for t in generate_templates(config)]
-    return itertools.starmap(_example, _draws(config, bank, split, plans))
+    premises = [record.premise for record in bank.records]
+    hypotheses = [record.hypothesis for record in bank.records]
+    return (
+        _example(plan, seed, _texts(plan, picks, premises, hypotheses))
+        for plan, seed, picks in _draws(config, bank, split, plans)
+    )

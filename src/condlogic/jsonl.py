@@ -4,7 +4,8 @@ Every JSONL input (NLI bank, tagged page, dataset split, gold and
 prediction files, templates.jsonl) goes through :class:`JsonlReader`,
 and every JSONL output through :func:`line_writer`, as records
 (:func:`jsonl_writer`) or as lines filled into a record's
-:func:`line_skeleton`, so line numbering, blank lines, fault wording,
+:func:`line_skeleton` with string bodies that :func:`string_body` escaped
+once per text, so line numbering, blank lines, fault wording,
 field types (:func:`str_field` and the checks beside it) and text
 encoding are decided here once. The one JSON file
 read otherwise is a split's manifest sidecar: it is written as one JSONL
@@ -30,6 +31,9 @@ logger = logging.getLogger(__name__)
 # checked for a lone surrogate, which no UTF-8 output can encode. Testing
 # for a backslash first keeps the slower scan off most clean lines.
 _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+
+# The characters json.dumps escapes in a string when ensure_ascii is false.
+_NEEDS_ESCAPE = re.compile(r'[\x00-\x1f"\\]')
 
 # What json.dumps(record, ensure_ascii=False) returns, with one encoder for every line
 # (json.dumps builds a new one per call when an option is given).
@@ -158,29 +162,37 @@ def encode_line(record: dict) -> str:
     return _encode(record) + "\n"
 
 
-def line_skeleton(record: dict, number_hole: int, text_holes: Sequence[str]) -> Callable[[int, Iterable[str]], str]:
-    """``fill(number, texts)``: the line :func:`encode_line` makes of ``record`` with
-    ``number_hole`` replaced by ``number`` and each of ``text_holes`` by the text at its
-    position in ``texts``.
+def string_body(text: str) -> str:
+    """``text`` as ``json.dumps`` writes it inside a string's quotes (``encode_basestring`` is
+    its encoder of strings when ``ensure_ascii`` is false); ``text`` itself, the same object,
+    when it needs no escape."""
+    return encode_basestring(text)[1:-1] if _NEEDS_ESCAPE.search(text) else text
 
-    ``record`` is encoded once, and cut at the holes in order: the number first, then the
-    texts as given. A fill encodes only its values, as ``json.dumps`` encodes them
-    (``encode_basestring`` is its encoder of strings when ``ensure_ascii`` is false).
-    Raises :class:`InvariantError` unless each hole's encoding occurs exactly once in the
-    line, after the holes before it.
+
+def line_skeleton(record: dict, number_hole: int, text_holes: Sequence[str]) -> Callable[[int, Iterable[str]], str]:
+    """``fill(number, bodies)``: the line :func:`encode_line` makes of ``record`` with
+    ``number_hole`` replaced by ``number`` and each of ``text_holes``, a part of one of its
+    strings, replaced by the text whose :func:`string_body` is at its position in ``bodies``.
+
+    ``record`` is encoded once, and cut at the holes in order: the number first, then each
+    text hole's string body, inside its quotes, so the rest of that string (such as a
+    ``Ck: `` before the hole) stays in the line's pieces. A fill only joins the pieces with
+    the number and the bodies, which a caller escapes once per text, not once per line.
+    Raises :class:`InvariantError` unless each hole occurs exactly once in the line, after
+    the holes before it; a hole name that is part of another's (``x1`` of ``x10``) occurs twice.
     """
     line = encode_line(record)
     pieces, rest = [], line
-    for hole in (str(number_hole), *map(encode_basestring, text_holes)):
+    for hole in (str(number_hole), *map(string_body, text_holes)):
         if line.count(hole) != 1:
-            raise InvariantError(f"hole {hole} occurs {line.count(hole)} times in the record's line, expected once")
+            raise InvariantError(f"hole {hole!r} occurs {line.count(hole)} times in the record's line, expected once")
         piece, found, rest = rest.partition(hole)
         if not found:
             raise InvariantError("two holes overlap, or are out of order, in the record's line")
         pieces.append(piece)
     pieces.append(rest)
     fill = "{}".join(piece.replace("{", "{{").replace("}", "}}") for piece in pieces).format
-    return lambda number, texts: fill(str(number), *map(encode_basestring, texts))
+    return lambda number, bodies: fill(str(number), *bodies)
 
 
 @contextmanager

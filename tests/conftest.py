@@ -1,9 +1,10 @@
 import json
+import random
 
 import pytest
 
 from condlogic import load_nli_bank
-from condlogic.generate import _draw, _example, compile_template
+from condlogic.generate import _derive_seed, _draw, _example, _texts, compile_template
 
 # Two-group reference template: an all-group about the asked premise U
 # with one fact missing, and a fully contradicted any-group distractor.
@@ -18,7 +19,11 @@ Label: entailed, if B
 def example_of(template, bank, index, *, seed):
     """The example ``generate_dataset`` makes from ``template`` at ``index`` under split seed ``seed``."""
     plan = compile_template(template)
-    return _example(plan, *_draw(plan, bank, index, seed))
+    example_seed = _derive_seed(seed, plan.template_id, index)
+    picks = _draw([bank.span(label) for label in plan.draws], random.Random(example_seed))
+    premises = [record.premise for record in bank.records]
+    hypotheses = [record.hypothesis for record in bank.records]
+    return _example(plan, example_seed, _texts(plan, picks, premises, hypotheses))
 
 
 def write_bank(path, n, start=0):

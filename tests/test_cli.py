@@ -27,7 +27,7 @@ from condlogic import (
     generate_dataset,
     load_nli_bank,
     parse_template_dsl,
-    solve_template,
+    template_groups,
     templates,
 )
 from conftest import REFERENCE_TEMPLATE
@@ -501,12 +501,12 @@ def test_generate_needs_only_the_labels_its_templates_draw(tmp_path, capsys):
 
 
 def test_generate_compiles_each_plan_once_and_builds_no_example_per_record(tmp_path, capsys, bank_path):
-    with mock.patch.object(generate_module, "solve_template", wraps=solve_template) as solves, \
+    with mock.patch.object(generate_module, "template_groups", wraps=template_groups) as solves, \
             mock.patch.object(dataset_io_module, "example_to_dict", wraps=example_to_dict) as dicts:
         code, _, err = run(capsys, "generate", "--bank", str(bank_path), "--out", str(tmp_path / "data"),
                            "--seed", "2", "--templates", "6", "--dev", "40", "--test", "30", "--train", "20")
     assert code == 0, err
-    # One solve per template, shared by the three splits, and one probe record per plan.
+    # One solve (the groups resolved once) per template, shared by the three splits, and one probe record per plan.
     assert solves.call_count == 6
     assert dicts.call_count == 6
 

@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import json
 import os
+import random
 import subprocess
 from pathlib import Path
 from unittest import mock
@@ -38,7 +39,8 @@ from condlogic import (
     validate_template,
 )
 from condlogic.dataset_io import example_to_dict, plan_line
-from condlogic.generate import SPLITS, _derive_seed, _draw, _draws, compile_template
+from condlogic.generate import SPLITS, _derive_seed, _draw, _drawer, _draws, _texts, compile_template
+from condlogic.jsonl import string_body
 from conftest import REFERENCE_TEMPLATE, example_of, write_bank
 
 
@@ -369,6 +371,58 @@ def test_generate_golden_digests(tmp_path, bank_path, capsys):
     assert digests == GOLDEN_DIGESTS
 
 
+# Bank texts a JSON encoder must escape (quote, backslash, control characters), ones it
+# writes as they are (U+2028, non-ASCII, astral), and ones that read as format fields or as
+# a line's placeholders, old and new; "plain" needs no escape.
+_ESCAPING_TEXTS = [
+    'say "hi"', "back\\slash", "tab\there", "nul\x00 unit\x1f", "line\nbreak\r", "\u2028sep\u2029",
+    "caf\u00e9 na\u00efve", "astral \U0001f600\U00010348", "{0} {} }{", "\ue0001", "\ue000{1}", "\ue000{10}",
+    "18446744073709551616", "plain",
+]
+
+
+def write_escaping_bank(path, n=42):
+    """A balanced bank whose premises and hypotheses cycle through ``_ESCAPING_TEXTS``."""
+    labels = ("entailment", "contradiction", "neutral")
+    k = len(_ESCAPING_TEXTS)
+    with open(path, "w", encoding="utf-8") as handle:
+        for i in range(n):
+            premise, hypothesis = _ESCAPING_TEXTS[i % k], _ESCAPING_TEXTS[(5 * i + 3) % k]
+            if i >= k:
+                premise, hypothesis = f"{premise} {i}", f"{i} {hypothesis}"
+            record = {"premise": premise, "hypothesis": hypothesis, "label": labels[i % 3]}
+            handle.write(json.dumps(record, ensure_ascii=i % 2 == 0) + "\n")
+
+
+# sha256 of what `condlogic generate` writes for ``write_escaping_bank``, master seed -7,
+# 12 templates, 200 dev + 200 test + 40 train examples; recorded before a split line was
+# made of escaped text bodies, so they pin the escape path byte for byte.
+ESCAPING_DIGESTS = {
+    "templates.jsonl": "a17866cfc21cf0362849519c913948b9cba2f02769a89d8329e7b9dd902a1de0",
+    "dev.jsonl": "9e1f0180a8ba384828686155c5a9d4bb2c628e56f73eccba695e4ea7d36d85e9",
+    "test.jsonl": "d819e5f04c2b4d39f899d7912f439374ddcd819eb370370d232240857622ba33",
+    "train.jsonl": "2c21532cfa62beed27c4728d1151419d4969b7f2b602d24b14652d4e93f1789e",
+    "dev.jsonl.manifest": "7043171c483e21bdd9ec710e86e39c6c684d9068c5efa49453e58ded04b1c313",
+    "test.jsonl.manifest": "03f24e45fe0b7998f1af2dd0877ac0a2c284cd41e4292118d3c2365cbd2d730e",
+    "train.jsonl.manifest": "8282677b8aa196c7d85d36630fecc2266fb59cf8e7911775e7b14dac75b857e2",
+}
+
+
+def test_generate_golden_digests_over_a_bank_that_needs_escaping(tmp_path, capsys):
+    from condlogic import cli
+
+    bank_path = tmp_path / "bank.jsonl"
+    write_escaping_bank(bank_path)
+    assert len(load_nli_bank(bank_path)) == 42
+    out_dir = tmp_path / "data"
+    argv = ["generate", "--bank", str(bank_path), "--out", str(out_dir), "--seed=-7",
+            "--templates", "12", "--dev", "200", "--test", "200", "--train", "40"]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    digests = {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest() for name in GOLDEN_DIGESTS}
+    assert digests == ESCAPING_DIGESTS
+
+
 _PYENV_VERSIONS = Path.home() / ".pyenv" / "versions"
 
 
@@ -378,18 +432,23 @@ def test_generate_same_bytes_on_every_python(tmp_path, bank_path, minor):
     pythons = sorted(_PYENV_VERSIONS.glob(f"{minor}.*/bin/python"))
     if not pythons:
         pytest.skip(f"no Python {minor} under {_PYENV_VERSIONS}")
-    out_dir = tmp_path / "data"
-    argv = [str(pythons[-1]), "-m", "condlogic.cli", "generate", "--bank", str(bank_path), "--out", str(out_dir),
-            "--seed", "7", "--templates", "10", "--dev", "300", "--test", "300", "--train", "50"]
     src = Path(__file__).resolve().parent.parent / "src"
-    result = subprocess.run(
-        argv, env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=60
-    )
-    assert result.returncode == 0, result.stderr
-    digests = {
-        name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest() for name in GOLDEN_DIGESTS
-    }
-    assert digests == GOLDEN_DIGESTS
+
+    def digests(bank, *args):
+        out_dir = tmp_path / bank.stem
+        argv = [str(pythons[-1]), "-m", "condlogic.cli", "generate", "--bank", str(bank), "--out", str(out_dir), *args]
+        result = subprocess.run(
+            argv, env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=60
+        )
+        assert result.returncode == 0, result.stderr
+        return {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest() for name in GOLDEN_DIGESTS}
+
+    assert digests(bank_path, "--seed", "7", "--templates", "10", "--dev", "300", "--test", "300",
+                   "--train", "50") == GOLDEN_DIGESTS
+    escaping_bank = tmp_path / "escaping.jsonl"
+    write_escaping_bank(escaping_bank)
+    assert digests(escaping_bank, "--seed=-7", "--templates", "12", "--dev", "200", "--test", "200",
+                   "--train", "40") == ESCAPING_DIGESTS
 
 
 def test_dataset_matches_bare_instantiate(bank):
@@ -417,9 +476,9 @@ _configs = st.builds(
 def test_plan_gold_matches_solver(big_bank, config):
     templates = generate_templates(config)
     by_id = {t.template_id: t for t in templates}
-    with mock.patch.object(generate_module, "solve_template", wraps=solve_template) as spy:
+    with mock.patch.object(generate_module, "template_groups", wraps=template_groups) as spy:
         examples = list(generate_dataset(config, big_bank, "dev"))
-    # Compiled once per template, not once per example.
+    # Compiled (its groups resolved and solved) once per template, not once per example.
     assert spy.call_count == len(templates)
 
     for ex in examples:
@@ -441,11 +500,15 @@ def test_plan_gold_matches_solver(big_bank, config):
 def test_draw_samples_the_bank_once_per_listed_draw(bank, dsl):
     plan = compile_template(parse_template_dsl(dsl))
     assert (plan.relevant is None) == ("irrelevant" in dsl)
-    with mock.patch.object(NliBank, "sample", autospec=True, side_effect=NliBank.sample) as sample, \
-            mock.patch.object(NliBank, "sample_any", autospec=True, side_effect=NliBank.sample_any) as sample_any:
-        _draw(plan, bank, 3, 11)
-    assert sample_any.call_count == plan.draws.count(None)
-    assert sample.call_count + sample_any.call_count == len(plan.draws)
+    rng = random.Random(11)
+    with mock.patch.object(rng, "randrange", wraps=rng.randrange) as randrange:
+        picks = _draw([bank.span(label) for label in plan.draws], rng)
+    # One randrange per listed draw, over its bucket's size (the whole bank for None).
+    sizes = [len(bank) if label is None else bank.counts[label] for label in plan.draws]
+    assert [c.args for c in randrange.call_args_list] == [(size,) for size in sizes]
+    assert len(picks) == len(plan.draws)
+    for pick, label in zip(picks, plan.draws):
+        assert label is None or bank.records[pick].label == label
 
 
 _FACT_RELATION = {"entailment": FactRelation.SUPPORTS, "contradiction": FactRelation.CONTRADICTS}
@@ -481,7 +544,7 @@ def test_gold_follows_from_sampled_labels(big_bank, config):
 # Texts a JSON encoder must escape, non-ASCII ones, and ones that look like a line's placeholders.
 _bank_texts = st.text(min_size=1, max_size=8) | st.sampled_from(
     ['"', "\\", "a\x00\x1fb", "\u2028\u2029", "0", "18446744073709551616", "\ue000", "\ue0000", "{0}",
-     "caf\u00e9 \U0001f600"]
+     "caf\u00e9 \U0001f600", "\ue000{1}", "\ue000{10}"]
 )
 _bank_buckets = st.lists(st.tuples(_bank_texts, _bank_texts), min_size=1, max_size=3)
 
@@ -497,16 +560,56 @@ def test_plan_lines_are_the_encoded_examples(config, buckets):
     )
     plans = [compile_template(t) for t in generate_templates(config)]
     lines = {plan.template_id: plan_line(plan) for plan in plans}
+    # The escaped bodies, as `condlogic generate` makes them.
+    premises = [string_body(record.premise) for record in bank.records]
+    hypotheses = [string_body(record.hypothesis) for record in bank.records]
     for split in SPLITS:
         pairs = itertools.islice(zip(_draws(config, bank, split, plans), generate_dataset(config, bank, split)), 40)
-        for (plan, example_seed, texts), example in pairs:
+        for (plan, example_seed, picks), example in pairs:
             assert plan.template_id == example.template_id
-            line = lines[plan.template_id](example_seed, texts)
+            line = lines[plan.template_id](example_seed, _texts(plan, picks, premises, hypotheses))
             assert line == json.dumps(example_to_dict(example), ensure_ascii=False) + "\n"
+
+
+def test_plan_line_with_more_than_ten_texts(big_bank):
+    # 3 groups, 8 conditions, 4 facts and a question: 16 texts, so holes 1 and 10 to 15 all occur.
+    template = parse_template_dsl(
+        "If all (A, not B, C), then U.\nIf any (D, E), then V.\nIf all (F, G, H), then W.\n"
+        "Facts: a, not b, e, not h.\nQuestion: Is v correct?\n"
+    )
+    plan = compile_template(dataclasses.replace(template, template_id="T010"))
+    assert len(plan.prefixes) + len(plan.hypotheses) == 16
+    line = plan_line(plan)
+    texts = ['q"uote', "back\\slash", "\x00\x1f", "\u2028", "caf\u00e9", "\U0001f600", "{0}", "{}", "\ue000{1}",
+             "\ue000{10}", "\ue0001", "1", "10", "plain", "\n", "}{"]
+    example = generate_module._example(plan, 42, texts)
+    assert example.context[0].conditions[1].text == "C1: not \x00\x1f"
+    assert line(42, [string_body(t) for t in texts]) == json.dumps(example_to_dict(example), ensure_ascii=False) + "\n"
+
+
+@pytest.mark.parametrize("split", SPLITS)
+def test_stream_seeds_are_the_derived_seeds(big_bank, split):
+    # The stream hashes each seed from a per-stream prefix and reseeds one Random; its seeds,
+    # plans and picks must be those of _derive_seed, Random(seed) and the old sample walk.
+    config = GenConfig(seed=-123456789, n_templates=65, n_dev=10**6 + 1, n_test=10**6 + 1)
+    plans = [compile_template(t) for t in generate_templates(config)]
+    draw = _drawer(config, big_bank, split, plans)
+    split_seed = _derive_seed(config.seed, split)
+    for index in (0, 1, 2, 9, 10, 11, 99, 100, 4096, 65535, 123457, 999_999, 10**6):
+        with mock.patch.object(random.Random, "seed", autospec=True, side_effect=random.Random.seed) as seeded:
+            plan, example_seed, picks = draw(index)
+        pick_seed = _derive_seed(config.seed, split, index, "pick")
+        assert plan is plans[random.Random(pick_seed).randrange(len(plans))]
+        assert example_seed == _derive_seed(split_seed, plan.template_id, index)
+        assert [c.args[1:] for c in seeded.call_args_list] == [(pick_seed,), (example_seed,)]
+        rng = random.Random(example_seed)
+        walked = [big_bank.sample_any(rng) if label is None else big_bank.sample(label, rng) for label in plan.draws]
+        assert [big_bank.records[i] for i in picks] == walked
+        assert all(big_bank.records[i] is record for i, record in zip(picks, walked))
 
 
 def test_plan_line_refuses_a_template_id_that_reads_as_a_placeholder(bank):
     template = parse_template_dsl(REFERENCE_TEMPLATE)
-    plan = compile_template(dataclasses.replace(template, template_id="\ue0001"))
+    plan = compile_template(dataclasses.replace(template, template_id="\ue000{1}"))
     with pytest.raises(InvariantError, match="occurs 2 times"):
         plan_line(plan)

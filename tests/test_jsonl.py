@@ -12,7 +12,7 @@ from condlogic import cli
 from condlogic.contexts import load_html_elements
 from condlogic.dataset_io import manifest_path, read_manifest, read_split
 from condlogic.errors import InvariantError
-from condlogic.jsonl import JsonlReader, encode_line, jsonl_writer, line_skeleton, write_jsonl
+from condlogic.jsonl import JsonlReader, encode_line, jsonl_writer, line_skeleton, string_body, write_jsonl
 from conftest import REFERENCE_TEMPLATE
 
 SOURCE = "f.jsonl"
@@ -147,25 +147,57 @@ def test_jsonl_writer_keeps_the_lines_before_a_fault(tmp_path):
     assert path.read_text(encoding="utf-8") == '{"id": "0"}\n{"id": "1"}\n'
 
 
-_skeleton_texts = st.text(max_size=8) | st.sampled_from(['"', "\\", "\x00\x1f", "\u2028", "{0}", "}{", "\ue000", "7"])
+_skeleton_texts = st.text(max_size=8) | st.sampled_from(
+    ['"', "\\", "\x00\x1f", "\u2028", "{0}", "}{", "\ue000", "7", "\ue000{1}", "\ue000{10}"]
+)
 
 
 @settings(max_examples=100, deadline=None)
 @given(number=st.integers(0, 2**64 - 1), texts=st.lists(_skeleton_texts, min_size=3, max_size=3))
 def test_line_skeleton_fills_the_line_of_encode_line(number, texts):
+    # The second hole is part of a string whose prefix needs escaping; it stays in the line.
     def record(n, a, b, c):
-        return {"id": "{T0}", "n": n, "rows": [{"text": a, "k": 0}, {"text": b}], "q": c, "tail": ["}", "{"]}
+        return {"id": "{T0}", "n": n, "rows": [{"text": a, "k": 0}, {"text": 'C1: "not" ' + b}], "q": c,
+                "tail": ["}", "{"]}
 
-    fill = line_skeleton(record(2**64, "\ue0000", "\ue0001", "\ue0002"), 2**64, ["\ue0000", "\ue0001", "\ue0002"])
-    assert fill(number, texts) == encode_line(record(number, *texts))
+    holes = ["\ue000{0}", "\ue000{1}", "\ue000{2}"]
+    fill = line_skeleton(record(2**64, *holes), 2**64, holes)
+    assert fill(number, [string_body(t) for t in texts]) == encode_line(record(number, *texts))
+
+
+@settings(max_examples=50, deadline=None)
+@given(number=st.integers(0, 2**64 - 1), texts=st.lists(_skeleton_texts, min_size=12, max_size=12))
+def test_line_skeleton_with_holes_one_and_ten(number, texts):
+    # Twelve holes cut inside their strings, after a prefix, so hole 1 and hole 10 both occur.
+    def record(n, values):
+        return {"n": n, "texts": [f"C{i}: " + value for i, value in enumerate(values)]}
+
+    holes = [f"\ue000{{{i}}}" for i in range(12)]
+    fill = line_skeleton(record(2**64, holes), 2**64, holes)
+    assert fill(number, [string_body(t) for t in texts]) == encode_line(record(number, texts))
+    # Names that are part of one another are refused, not cut at the wrong place.
+    with pytest.raises(InvariantError, match=re.escape(f"hole {chr(0xE000) + '1'!r} occurs 3 times")):
+        line_skeleton(record(2**64, [f"\ue000{i}" for i in range(12)]), 2**64, [f"\ue000{i}" for i in range(12)])
+
+
+@pytest.mark.parametrize("text", ["", "plain", "caf\u00e9 \U0001f600", "\u2028\u2029", "{0}", "\ue000{1}", "\x7f"])
+def test_string_body_gives_back_a_text_that_needs_no_escape(text):
+    body = string_body(text)
+    assert body is text
+    assert json.dumps(text, ensure_ascii=False) == f'"{body}"'
+
+
+@pytest.mark.parametrize("text", ['"', "\\", "a\x00b", "\x1f", "\n\r\t\b\f", 'say "caf\u00e9" \\ \U0001f600'])
+def test_string_body_escapes_as_json_dumps(text):
+    assert json.dumps(text, ensure_ascii=False) == f'"{string_body(text)}"'
 
 
 @pytest.mark.parametrize(
     "record,holes,message",
     [
-        ({"n": 99, "a": "x", "b": "x"}, ["x"], 'hole "x" occurs 2 times'),
-        ({"n": 99, "a": "x"}, ["y"], 'hole "y" occurs 0 times'),
-        ({"n": 99, "m": 99, "a": "x"}, ["x"], "hole 99 occurs 2 times"),
+        ({"n": 99, "a": "x", "b": "x"}, ["x"], "hole 'x' occurs 2 times"),
+        ({"n": 99, "a": "x"}, ["y"], "hole 'y' occurs 0 times"),
+        ({"n": 99, "m": 99, "a": "x"}, ["x"], "hole '99' occurs 2 times"),
         ({"a": "x99"}, ["x99"], "two holes overlap"),  # the number is 99, inside the text
         ({"n": 99, "a": "x", "b": "y"}, ["y", "x"], "out of order"),
     ],
