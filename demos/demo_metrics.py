@@ -17,10 +17,9 @@ from condlogic import (
     answer_em_f1,
     bleu,
     condition_prf,
-    conditional_em_f1,
     evaluate_files,
     format_report,
-    label_accuracy,
+    score_example,
 )
 
 print("=== answer EM / F1 ===\n")
@@ -42,14 +41,23 @@ print()
 print("=== conditional EM / F1 is a product ===\n")
 pred = Prediction("0", "up to 1200", frozenset({"C1", "C2"}))
 gold = GoldRecord("0", ("up to 1200",), frozenset({"C1"}))
-cem, cf1 = conditional_em_f1(pred, gold)
-print(f"  right answer, half-right conditions -> cEM={cem:.3f} cF1={cf1:.3f}\n")
+row = score_example(pred, gold, with_bleu=False)
+print(f"  right answer, half-right conditions -> cEM={row['conditional_em']:.3f} cF1={row['conditional_f1']:.3f}\n")
 
-print("=== labels and follow-up questions ===\n")
-micro, macro = label_accuracy(["yes", "yes", "yes", "no"], ["yes", "yes", "no", "no"])
-print(f"  micro={micro:.2f} macro={macro:.2f}")
+print("=== follow-up questions ===\n")
 print(f"  BLEU-1('a b c d', 'a b c e') = {bleu('a b c d', 'a b c e', 1):.2f}")
 print(f"  BLEU-4 of identical questions = {bleu('do you live there now', 'do you live there now', 4):.2f}\n")
+
+
+def evaluate(pred_rows, gold_rows, profile):
+    """The report ``evaluate_files`` makes of the rows, written to files for the run."""
+    with tempfile.TemporaryDirectory(prefix="condlogic-demo-") as work:
+        gold_path = Path(work) / "gold.jsonl"
+        pred_path = Path(work) / "pred.jsonl"
+        gold_path.write_text("\n".join(json.dumps(r) for r in gold_rows) + "\n", encoding="utf-8")
+        pred_path.write_text("\n".join(json.dumps(r) for r in pred_rows) + "\n", encoding="utf-8")
+        return evaluate_files(pred_path, gold_path, profile)
+
 
 print("=== file-level evaluation ===\n")
 gold_rows = [
@@ -62,10 +70,10 @@ pred_rows = [
     {"id": "e1", "answer": "no", "conditions": ["C4"]},
     {"id": "e2", "answer": "march", "conditions": ["C0"]},
 ]
-with tempfile.TemporaryDirectory(prefix="condlogic-demo-") as work:
-    gold_path = Path(work) / "gold.jsonl"
-    pred_path = Path(work) / "pred.jsonl"
-    gold_path.write_text("\n".join(json.dumps(r) for r in gold_rows) + "\n", encoding="utf-8")
-    pred_path.write_text("\n".join(json.dumps(r) for r in pred_rows) + "\n", encoding="utf-8")
-    report = evaluate_files(pred_path, gold_path, TaskProfile.YESNO)
-print(format_report(report, TaskProfile.YESNO))
+print(format_report(evaluate(pred_rows, gold_rows, TaskProfile.YESNO), TaskProfile.YESNO))
+
+print("\n=== label accuracy, in the condnli report ===\n")
+# Micro accuracy counts every row right; macro averages the share right per gold label.
+gold_rows = [{"id": f"l{i}", "label": label} for i, label in enumerate(["yes", "yes", "no", "no"])]
+pred_rows = [{"id": f"l{i}", "label": label} for i, label in enumerate(["yes", "yes", "yes", "no"])]
+print(format_report(evaluate(pred_rows, gold_rows, TaskProfile.CONDNLI), TaskProfile.CONDNLI))

@@ -31,7 +31,8 @@ from .generate import (
     load_nli_bank,
 )
 from .jsonl import (
-    JsonlReader, _refuse_to_overwrite, jsonl_writer, optional_field, str_field, string_body, undecodable, write_jsonl,
+    JsonlReader, _refuse_to_overwrite, jsonl_writer, optional_field, require_fields, str_field, string_body,
+    undecodable,
 )
 from .logic import LogicalType, TaskProfile, enumerate_assignments
 from .metrics import evaluate_files, format_report
@@ -42,6 +43,13 @@ _PROFILES = {
     "conditionalqa": TaskProfile.YESNO,
     "sharc": TaskProfile.SHARC,
 }
+
+
+def _output_path(text: str) -> str:
+    # A required output path may not be empty, which would name the working directory or no file.
+    if not text:
+        raise argparse.ArgumentTypeError("an empty path names no output")
+    return text
 
 
 class _Parser(argparse.ArgumentParser):
@@ -82,8 +90,9 @@ def cmd_generate(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     digest = config_hash(config)
 
-    records = ({"template_id": t.template_id, "dsl": render_template_dsl(t)} for t in templates)
-    write_jsonl(templates_path, records)
+    with jsonl_writer(templates_path) as write:
+        for t in templates:
+            write({"template_id": t.template_id, "dsl": render_template_dsl(t)})
     print(f"templates   {len(templates):>6}  {templates_path}")
 
     histogram: Counter = Counter()
@@ -140,8 +149,7 @@ def cmd_solve(args) -> int:
         sys.stdin.reconfigure(encoding="utf-8", errors="strict")
 
     def solve_record(record: dict):
-        if "dsl" not in record:
-            raise ValueError("missing fields: dsl")
+        require_fields(record, ("dsl",))
         dsl = str_field(record["dsl"], "dsl")
         return optional_field(record, str_field, "template_id"), parse_template_dsl(dsl)
 
@@ -222,7 +230,7 @@ def _build_parser() -> _Parser:
 
     p_gen = sub.add_parser("generate", help="generate templates and dataset splits")
     p_gen.add_argument("--bank", required=True, help="JSONL NLI bank (premise/hypothesis/label)")
-    p_gen.add_argument("--out", required=True, help="output directory")
+    p_gen.add_argument("--out", required=True, type=_output_path, help="output directory")
     p_gen.add_argument("--seed", required=True, type=int, help="master seed")
     p_gen.add_argument("--templates", type=int, default=65)
     p_gen.add_argument("--max-conditions", type=int, default=6)
@@ -241,7 +249,7 @@ def _build_parser() -> _Parser:
 
     p_parse = sub.add_parser("parse-context", help="turn tagged elements into condition groups")
     p_parse.add_argument("--in", dest="infile", required=True, help="JSONL of {tag, text} records")
-    p_parse.add_argument("--out", required=True, help="output JSONL of condition groups")
+    p_parse.add_argument("--out", required=True, type=_output_path, help="output JSONL of condition groups")
     p_parse.add_argument("--stats", action="store_true", help="print size and depth histograms")
     p_parse.set_defaults(func=cmd_parse_context)
 

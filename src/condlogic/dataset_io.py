@@ -19,7 +19,8 @@ from typing import Callable, Iterable, Iterator, Sequence
 from . import __version__
 from .generate import Example, TemplatePlan, _example
 from .jsonl import (
-    JsonlReader, encode_line, int_field, line_skeleton, line_writer, str_field, str_list_field, write_jsonl,
+    JsonlReader, encode_line, int_field, jsonl_writer, line_skeleton, line_writer, require_fields, str_field,
+    str_list_field,
 )
 from .logic import Condition, ConditionGroup, LogicalType, TaskProfile, Verdict
 
@@ -96,12 +97,6 @@ def plan_line(plan: TemplatePlan) -> Callable[[int, Sequence[str]], str]:
     return line_skeleton(example_to_dict(_example(plan, _SEED_HOLE, holes)), _SEED_HOLE, holes)
 
 
-def _require(raw: dict, keys) -> None:
-    missing = [key for key in keys if key not in raw]
-    if missing:
-        raise ValueError(f"missing fields: {', '.join(missing)}")
-
-
 def example_from_dict(raw: dict) -> Example:
     """Deserialize one example record, validating its shape.
 
@@ -113,7 +108,7 @@ def example_from_dict(raw: dict) -> Example:
     """
     if not isinstance(raw, dict):
         raise ValueError("record is not an object")
-    _require(raw, ("template_id", "seed", "context", "facts", "question", "answer_label", "unsatisfied"))
+    require_fields(raw, ("template_id", "seed", "context", "facts", "question", "answer_label", "unsatisfied"))
 
     if not isinstance(raw["context"], list):
         raise ValueError("context is not a list")
@@ -129,7 +124,7 @@ def example_from_dict(raw: dict) -> Example:
     for entry in raw["context"]:
         if not isinstance(entry, dict):
             raise ValueError("context entry is not an object")
-        _require(entry, ("result_id", "result", "type", "conditions"))
+        require_fields(entry, ("result_id", "result", "type", "conditions"))
         type_token = entry["type"]
         if not isinstance(type_token, str) or type_token not in _EXAMPLE_GROUP_TYPES:
             raise ValueError(f"unknown group type {type_token!r}")
@@ -140,7 +135,7 @@ def example_from_dict(raw: dict) -> Example:
         for cond in raw_conditions:
             if not isinstance(cond, dict):
                 raise ValueError("condition is not an object")
-            _require(cond, ("id", "text"))
+            require_fields(cond, ("id", "text"))
             cid = cond["id"]
             if not isinstance(cid, str) or not _CONDITION_ID_RE.match(cid):
                 raise ValueError(f"malformed condition id {cid!r}")
@@ -197,7 +192,8 @@ def write_split(examples: Iterable[Example | str], path, manifest: SplitManifest
         for count, item in enumerate(examples, start=1):
             write(item if isinstance(item, str) else encode_line(example_to_dict(item)))
     final = replace(manifest, count=count)
-    write_jsonl(manifest_path(path), [final.to_dict()])
+    with jsonl_writer(manifest_path(path)) as write:
+        write(final.to_dict())
     return final
 
 

@@ -66,13 +66,6 @@ def _bijective_name(index: int, alphabet: str) -> str:
     return "".join(reversed(chars))
 
 
-def _derive_seed(*parts) -> int:
-    """Stable 64-bit seed from arbitrary parts (unlike ``hash``, it is
-    identical across interpreter runs)."""
-    payload = "\x1f".join(str(p) for p in parts).encode("utf-8")
-    return int.from_bytes(hashlib.sha256(payload).digest()[:8], "big")
-
-
 def _seed_prefix(*parts):
     """A sha256 fed ``parts`` as :func:`_derive_seed` joins them, each followed by the separator."""
     return hashlib.sha256("".join(f"{p}\x1f" for p in parts).encode("utf-8"))
@@ -83,6 +76,12 @@ def _seed_after(prefix, tail: str) -> int:
     digest = prefix.copy()
     digest.update(tail.encode("utf-8"))
     return int.from_bytes(digest.digest()[:8], "big")
+
+
+def _derive_seed(*parts) -> int:
+    """Stable 64-bit seed from one or more parts, joined by a separator (unlike ``hash``, it is
+    identical across interpreter runs)."""
+    return _seed_after(_seed_prefix(*parts[:-1]), str(parts[-1]))
 
 
 @dataclass(frozen=True, slots=True)
@@ -116,27 +115,20 @@ class NliBank:
     def __len__(self) -> int:
         return len(self.records)
 
-    def require(self, labels) -> None:
-        """Raise :class:`BankError` for the first of ``labels`` with no records; None stands for any label."""
-        for label in labels:
-            if label is not None and not self.by_label.get(label):
-                raise BankError(f"bank {self.path!r} has no {label!r} records")
-
     def span(self, label: str | None) -> tuple[int, int]:
-        """``(offset, size)`` of the ``label`` bucket in ``records`` (None: all of them), :meth:`require`-d:
-        ``records[offset + rng.randrange(size)]`` is the record :meth:`sample` (:meth:`sample_any`) draws."""
+        """``(offset, size)`` of the ``label`` bucket in ``records`` (None: all of them):
+        ``records[offset + rng.randrange(size)]`` is the record :meth:`sample` (:meth:`sample_any`) draws.
+        Raises :class:`BankError` when the bucket has no records or ``label`` is not an NLI label."""
         if label is None:
             return 0, len(self.records)
-        self.require((label,))
-        sizes = list(self.counts.values())
-        at = NLI_LABELS.index(label)
-        return sum(sizes[:at]), sizes[at]
+        sizes = self.counts
+        if not sizes.get(label):
+            raise BankError(f"bank {self.path!r} has no {label!r} records")
+        return sum(sizes[other] for other in NLI_LABELS[: NLI_LABELS.index(label)]), sizes[label]
 
     def sample(self, label: str, rng: random.Random) -> NliRecord:
-        bucket = self.by_label.get(label)
-        if not bucket:
-            self.require((label,))
-        return bucket[rng.randrange(len(bucket))]
+        offset, size = self.span(label)
+        return self.records[offset + rng.randrange(size)]
 
     def sample_any(self, rng: random.Random) -> NliRecord:
         """A uniformly drawn record of any label (one ``randrange`` call)."""
@@ -316,13 +308,11 @@ class TemplatePlan:
     groups: tuple[ConditionGroup, ...]
     #: Index of the group the question asks about; ``None`` for irrelevant.
     relevant: int | None
-    #: Condition ids of the facts, in the template's fact order.
-    fact_ids: tuple[str, ...]
     #: The bank label of each record drawn, in draw order (None: any record); draw k gives context text k's premise.
     draws: tuple[str | None, ...]
     #: What precedes each context text's premise: ``""`` for a result, ``Ck: `` or ``Ck: not `` for a condition.
     prefixes: tuple[str, ...]
-    #: The draws whose hypotheses give the facts, in ``fact_ids`` order, then the question.
+    #: The draws whose hypotheses give the facts, in the template's fact order, then the question.
     hypotheses: tuple[int, ...]
 
 
@@ -352,7 +342,6 @@ def compile_template(template: Template) -> TemplatePlan:
         gold=derive_answer(groups, relevant, TaskProfile.CONDNLI),
         groups=groups,
         relevant=relevant,
-        fact_ids=fact_ids,
         draws=tuple(draws),
         prefixes=tuple(prefixes),
         hypotheses=tuple(drawn_at[key] for key in (*fact_ids, relevant)),
@@ -368,7 +357,7 @@ def _draw(spans, rng: random.Random) -> list[int]:
 def _texts(plan: TemplatePlan, picks, premises, hypotheses) -> list:
     """The texts of an example drawn at ``picks`` (``premises[i]`` and ``hypotheses[i]`` belong to
     record ``i``), in record order: per group its result premise, then each condition's premise;
-    then the facts' hypotheses in ``plan.fact_ids`` order; then the question's."""
+    then the facts' hypotheses in the template's fact order; then the question's."""
     return [premises[i] for i in picks[: len(plan.prefixes)]] + [hypotheses[picks[k]] for k in plan.hypotheses]
 
 

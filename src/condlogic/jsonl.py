@@ -135,6 +135,13 @@ def str_list_field(value, name: str) -> list[str]:
     return value
 
 
+def require_fields(raw: dict, keys) -> None:
+    """Raise ``ValueError`` naming every one of ``keys`` that ``raw`` lacks."""
+    missing = [key for key in keys if key not in raw]
+    if missing:
+        raise ValueError(f"missing fields: {', '.join(missing)}")
+
+
 def optional_field(raw: dict, check, key: str, fallback: str | None = None):
     """``raw[key]``, or ``raw[fallback]`` when ``raw`` lacks ``key``, passed through ``check``
     under the key it was read from; None when ``raw`` holds neither or the value is null."""
@@ -215,11 +222,3 @@ def jsonl_writer(path) -> Iterator[Callable[[dict], object]]:
     with line_writer(path) as write:
         yield lambda record: write(encode_line(record))
 
-
-def write_jsonl(path, records: Iterable[dict]) -> int:
-    """Write ``records`` with :func:`jsonl_writer`, streaming; returns the count."""
-    count = 0
-    with jsonl_writer(path) as write:
-        for count, record in enumerate(records, start=1):
-            write(record)
-    return count

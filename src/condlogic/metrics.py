@@ -141,24 +141,6 @@ class GoldRecord:
         return self.answers if self.answers else (self.label,)
 
 
-def conditional_em_f1(pred: Prediction, gold: GoldRecord) -> tuple[float, float]:
-    """EM and F1 scaled by the condition F1 of the same example."""
-    row = score_example(pred, gold, with_bleu=False)
-    return row["conditional_em"], row["conditional_f1"]
-
-
-def label_accuracy(pred_labels: list[str], gold_labels: list[str]) -> tuple[float, float]:
-    """Micro accuracy and macro accuracy (mean per-class recall).
-
-    Macro averages over the classes that occur in the gold labels.
-    """
-    if len(pred_labels) != len(gold_labels):
-        raise InvariantError("prediction and gold label lists differ in length")
-    if not gold_labels:
-        raise InvariantError("cannot score an empty label list")
-    return _accuracy(Counter(g for p, g in zip(pred_labels, gold_labels) if p == g), Counter(gold_labels))
-
-
 def _accuracy(correct: Counter, total: Counter) -> tuple[float, float]:
     """Micro and macro accuracy from each gold label's correct and total counts, in first-seen order."""
     micro = sum(correct.values()) / sum(total.values())

@@ -25,7 +25,6 @@ from condlogic import (
     cli,
     condition_ids,
     condition_prf,
-    conditional_em_f1,
     config_hash,
     enumerate_assignments,
     evaluate_group,
@@ -34,6 +33,7 @@ from condlogic import (
     parse_template_dsl,
     reference_evaluate,
     render_template_dsl,
+    score_example,
     solve_template,
     write_split,
 )
@@ -182,15 +182,17 @@ def test_metric_product_arithmetic():
         gold = GoldRecord("0", tuple(refs), gold_ids)
         em, f1 = answer_em_f1(pred_text, refs)
         _, _, cond_f1 = condition_prf(pred_ids, gold_ids)
-        cem, cf1 = conditional_em_f1(pred, gold)
+        row = score_example(pred, gold, with_bleu=False)
+        cem, cf1 = row["conditional_em"], row["conditional_f1"]
         assert abs(cem - em * cond_f1) <= 1e-12
         assert abs(cf1 - f1 * cond_f1) <= 1e-12
 
-    perfect = conditional_em_f1(
+    perfect = score_example(
         Prediction("0", "up to 1200", frozenset({"C1"})),
         GoldRecord("0", ("up to 1200",), frozenset({"C1"})),
+        with_bleu=False,
     )
-    assert perfect == (1.0, 1.0)
+    assert (perfect["conditional_em"], perfect["conditional_f1"]) == (1.0, 1.0)
     assert condition_prf(frozenset(), frozenset()) == (1.0, 1.0, 1.0)
     _pass("metric-product-arithmetic")
 

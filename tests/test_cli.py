@@ -847,6 +847,37 @@ def test_empty_output_path_is_not_asked(tmp_path, capsys, monkeypatch, bank_path
     assert list(cwd.iterdir()) == []
 
 
+def test_generate_with_an_empty_out_is_a_usage_error(tmp_path, capsys, monkeypatch, bank_path):
+    """``generate --out ""`` exits 1 before the bank is read, and writes nothing in the working directory."""
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    with mock.patch.object(cli, "load_nli_bank", wraps=cli.load_nli_bank) as load:
+        code, out, err = run(capsys, "generate", "--bank", str(bank_path), "--out", "", "--seed", "3",
+                             "--templates", "8", "--dev", "20", "--test", "20", "--train", "5")
+    assert code == 1
+    assert out == ""
+    assert err.endswith("condlogic generate: error: argument --out: an empty path names no output\n")
+    assert load.call_count == 0
+    assert list(cwd.iterdir()) == []
+
+
+def test_parse_context_with_an_empty_out_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    """``parse-context --out ""`` exits 1 before the page is read."""
+    page = tmp_path / "page.jsonl"
+    page.write_text("".join(json.dumps(r) + "\n" for r in _PORTABLE_PAGE), encoding="utf-8")
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    with mock.patch.object(cli, "load_html_elements", wraps=cli.load_html_elements) as load:
+        code, out, err = run(capsys, "parse-context", "--in", str(page), "--out", "")
+    assert code == 1
+    assert out == ""
+    assert err.endswith("condlogic parse-context: error: argument --out: an empty path names no output\n")
+    assert load.call_count == 0
+    assert list(cwd.iterdir()) == []
+
+
 @pytest.mark.parametrize("profile", ["condnli", "conditionalqa", "sharc"])
 def test_evaluate_label_only_file_scores_one(tmp_path, capsys, profile):
     path = tmp_path / "labels.jsonl"

@@ -9,7 +9,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import condlogic.generate as generate_module
@@ -108,6 +108,10 @@ def test_sample_missing_bucket_raises(tmp_path):
     with pytest.raises(BankError):
         bank.sample("entailment", random.Random(0))
     assert bank.sample_any(random.Random(0)).label == "neutral"
+    # A bucket under a label outside NLI_LABELS holds no record of `records`, so it cannot be drawn.
+    odd = NliBank("p", {"foo": (NliRecord("p", "h", "foo"),)})
+    with pytest.raises(BankError, match="^bank 'p' has no 'foo' records$"):
+        odd.sample("foo", random.Random(0))
 
 
 def test_sample_any_on_an_empty_bank_raises():
@@ -587,10 +591,24 @@ def test_plan_line_with_more_than_ten_texts(big_bank):
     assert line(42, [string_body(t) for t in texts]) == json.dumps(example_to_dict(example), ensure_ascii=False) + "\n"
 
 
+_seed_part = (
+    st.integers() | st.integers(min_value=2**64, max_value=2**200) | st.integers(min_value=-2**200, max_value=-1)
+    | st.text() | st.sampled_from(["dev", "pick", "T\u00e9", "\u6587\U0001f600", "\x1f", ""])
+)
+
+
+@given(st.lists(_seed_part, min_size=1, max_size=4))
+@example([-123456789, "train-stream", 10**6, "pick"])
+@example([2**64 + 1, "T\u00e9\x1f", -(2**70)])
+def test_derive_seed_is_the_sha256_of_the_joined_parts(parts):
+    payload = "\x1f".join(map(str, parts)).encode("utf-8")
+    assert _derive_seed(*parts) == int.from_bytes(hashlib.sha256(payload).digest()[:8], "big")
+
+
 @pytest.mark.parametrize("split", SPLITS)
 def test_stream_seeds_are_the_derived_seeds(big_bank, split):
     # The stream hashes each seed from a per-stream prefix and reseeds one Random; its seeds,
-    # plans and picks must be those of _derive_seed, Random(seed) and the old sample walk.
+    # plans and picks must be those of _derive_seed, Random(seed) and the bucket walk.
     config = GenConfig(seed=-123456789, n_templates=65, n_dev=10**6 + 1, n_test=10**6 + 1)
     plans = [compile_template(t) for t in generate_templates(config)]
     draw = _drawer(config, big_bank, split, plans)
@@ -603,8 +621,11 @@ def test_stream_seeds_are_the_derived_seeds(big_bank, split):
         assert example_seed == _derive_seed(split_seed, plan.template_id, index)
         assert [c.args[1:] for c in seeded.call_args_list] == [(pick_seed,), (example_seed,)]
         rng = random.Random(example_seed)
-        walked = [big_bank.sample_any(rng) if label is None else big_bank.sample(label, rng) for label in plan.draws]
+        buckets = {None: big_bank.records, **big_bank.by_label}
+        walked = [buckets[label][rng.randrange(len(buckets[label]))] for label in plan.draws]
         assert [big_bank.records[i] for i in picks] == walked
+        rng = random.Random(example_seed)
+        assert [big_bank.sample_any(rng) if d is None else big_bank.sample(d, rng) for d in plan.draws] == walked
         assert all(big_bank.records[i] is record for i, record in zip(picks, walked))
 
 

@@ -12,7 +12,7 @@ from condlogic import cli
 from condlogic.contexts import load_html_elements
 from condlogic.dataset_io import manifest_path, read_manifest, read_split
 from condlogic.errors import InvariantError
-from condlogic.jsonl import JsonlReader, encode_line, jsonl_writer, line_skeleton, string_body, write_jsonl
+from condlogic.jsonl import JsonlReader, encode_line, jsonl_writer, line_skeleton, string_body
 from conftest import REFERENCE_TEMPLATE
 
 SOURCE = "f.jsonl"
@@ -113,7 +113,10 @@ def test_undecodable_input_names_the_source(tmp_path):
 def test_write_jsonl_round_trip(tmp_path):
     path = tmp_path / "out.jsonl"
     records = [{"id": "café", "n": 1}, {"id": "e1", "n": [1, 2]}]
-    assert write_jsonl(path, iter(records)) == 2
+    with jsonl_writer(path) as write:
+        for record in records:
+            write(record)
+    assert path.read_text(encoding="utf-8") == "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records)
     assert "café" in path.read_text(encoding="utf-8")
     with open(path, encoding="utf-8") as handle:
         assert list(JsonlReader(handle, path, dict, strict=True)) == records
@@ -121,11 +124,11 @@ def test_write_jsonl_round_trip(tmp_path):
 
 def test_jsonl_writer_writes_the_bytes_of_write_jsonl(tmp_path):
     records = [{"id": "café", "text": "naïve 文字 \u2028 😀"}, {"id": "e1", "n": [1, 2], "q": None}]
-    write_jsonl(tmp_path / "all.jsonl", records)
     with jsonl_writer(tmp_path / "rows.jsonl") as write:
         for record in records:
             write(record)
-    assert (tmp_path / "rows.jsonl").read_bytes() == (tmp_path / "all.jsonl").read_bytes()
+    expected = "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records)
+    assert (tmp_path / "rows.jsonl").read_bytes() == expected.encode("utf-8")
     assert "文字".encode("utf-8") in (tmp_path / "rows.jsonl").read_bytes()
 
 

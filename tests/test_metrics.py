@@ -27,10 +27,8 @@ from condlogic import (
     answer_em_f1,
     bleu,
     condition_prf,
-    conditional_em_f1,
     evaluate_files,
     format_report,
-    label_accuracy,
     normalize_text,
     read_gold_file,
     read_prediction_file,
@@ -147,21 +145,27 @@ def test_condition_prf():
     assert condition_prf({"A"}, {"B"}) == (0.0, 0.0, 0.0)
 
 
+def _conditional_em_f1(pred: Prediction, gold: GoldRecord) -> tuple[float, float]:
+    """The conditional EM and F1 columns of the example's row."""
+    row = score_example(pred, gold, with_bleu=False)
+    return row["conditional_em"], row["conditional_f1"]
+
+
 def test_conditional_em_f1():
-    perfect = conditional_em_f1(
+    perfect = _conditional_em_f1(
         Prediction("0", "up to $1200", frozenset({"C1"})),
         GoldRecord("0", ("up to $1200",), frozenset({"C1"})),
     )
     assert perfect == (1.0, 1.0)
 
-    cem, cf1 = conditional_em_f1(
+    cem, cf1 = _conditional_em_f1(
         Prediction("0", "up to 1200", frozenset({"B", "C"})),
         GoldRecord("0", ("up to 1200",), frozenset({"B"})),
     )
     assert cem == pytest.approx(2 / 3)
     assert cf1 == pytest.approx(2 / 3)
 
-    cem, cf1 = conditional_em_f1(
+    cem, cf1 = _conditional_em_f1(
         Prediction("0", "to 1200", frozenset({"C0", "C1", "C2"})),
         GoldRecord("0", ("up to 1200",), frozenset({"C0"})),
     )
@@ -176,27 +180,38 @@ def test_gold_record_needs_reference_or_label():
     assert GoldRecord("0", ("span",), label="yes").references == ("span",)
 
 
-def test_label_accuracy():
-    assert label_accuracy(["yes", "no"], ["yes", "no"]) == (1.0, 1.0)
-    micro, macro = label_accuracy(
-        ["yes", "yes", "yes", "no"], ["yes", "yes", "no", "no"]
-    )
-    assert micro == pytest.approx(0.75)
-    assert macro == pytest.approx(0.75)
-    assert label_accuracy(["no", "yes"], ["yes", "no"]) == (0.0, 0.0)
+def _label_accuracy(pred_labels: list[str], gold_labels: list[str]) -> tuple[float, float]:
+    """Micro and macro accuracy by ``evaluate_files``' rule, fed each gold label's correct and total counts."""
+    correct = Counter(g for p, g in zip(pred_labels, gold_labels) if p == g)
+    return metrics_module._accuracy(correct, Counter(gold_labels))
 
 
-def test_label_accuracy_macro_ignores_absent_classes():
-    micro, macro = label_accuracy(["irrelevant", "yes"], ["yes", "yes"])
-    assert micro == 0.5
-    assert macro == 0.5  # one gold class only
+def _label_accuracy_of_files(tmp_path, pred_labels: list[str], gold_labels: list[str]) -> tuple[float, float]:
+    """Micro and macro accuracy as ``evaluate_files`` reports them for labelled gold and prediction files."""
+    gold = write_jsonl(tmp_path / "gold.jsonl", [{"id": str(i), "label": g} for i, g in enumerate(gold_labels)])
+    pred = write_jsonl(tmp_path / "pred.jsonl", [{"id": str(i), "label": p} for i, p in enumerate(pred_labels)])
+    report = evaluate_files(pred, gold, TaskProfile.CONDNLI)
+    return report.micro_acc, report.macro_acc
 
 
-def test_label_accuracy_errors():
-    with pytest.raises(InvariantError):
-        label_accuracy(["yes"], ["yes", "no"])
-    with pytest.raises(InvariantError):
-        label_accuracy([], [])
+def test_label_accuracy(tmp_path):
+    for label_accuracy in (_label_accuracy, lambda preds, golds: _label_accuracy_of_files(tmp_path, preds, golds)):
+        assert label_accuracy(["yes", "no"], ["yes", "no"]) == (1.0, 1.0)
+        micro, macro = label_accuracy(
+            ["yes", "yes", "yes", "no"], ["yes", "yes", "no", "no"]
+        )
+        assert micro == pytest.approx(0.75)
+        assert macro == pytest.approx(0.75)
+        assert label_accuracy(["no", "yes"], ["yes", "no"]) == (0.0, 0.0)
+
+
+def test_label_accuracy_macro_ignores_absent_classes(tmp_path):
+    for micro, macro in (
+        _label_accuracy(["irrelevant", "yes"], ["yes", "yes"]),
+        _label_accuracy_of_files(tmp_path, ["irrelevant", "yes"], ["yes", "yes"]),
+    ):
+        assert micro == 0.5
+        assert macro == 0.5  # one gold class only
 
 
 def test_bleu_frozen_cases():
@@ -284,7 +299,7 @@ def test_conditional_dominance_and_range(pred_text, refs, pred_ids, gold_ids):
     pred = Prediction("0", pred_text, frozenset(pred_ids))
     gold = GoldRecord("0", tuple(refs) or ("x",), frozenset(gold_ids))
     em, f1 = answer_em_f1(pred_text, list(gold.references))
-    cem, cf1 = conditional_em_f1(pred, gold)
+    cem, cf1 = _conditional_em_f1(pred, gold)
     assert cem <= em + 1e-12
     assert cf1 <= f1 + 1e-12
     for value in (em, f1, cem, cf1):
@@ -659,7 +674,7 @@ def _predicted_label_listed(pred: Prediction) -> str:
 
 
 def _label_accuracy_listed(pred_labels: list[str], gold_labels: list[str]) -> tuple[float, float]:
-    """``label_accuracy`` as it was before it counted: one list of hits per gold class."""
+    """Micro and macro label accuracy as first written, before it counted: one list of hits per gold class."""
     if len(pred_labels) != len(gold_labels):
         raise InvariantError("prediction and gold label lists differ in length")
     if not gold_labels:
@@ -739,7 +754,9 @@ def _evaluate_files_staged(pred_path, gold_path, profile: TaskProfile, per_examp
         n_unmatched_predictions=len(unmatched),
     )
     if per_example_path is not None:
-        jsonl.write_jsonl(per_example_path, rows)
+        with open(per_example_path, "w", encoding="utf-8") as handle:
+            for row in rows:
+                handle.write(json.dumps(row, ensure_ascii=False) + "\n")
     return report
 
 
@@ -827,7 +844,7 @@ def _label_pairs(draw):
 @example([("yes", "yes")] * 2 + [("no", "yes")] * 5 + [("no", "no")] * 3 + [("", "é")] * 7 + [("é", "é")] * 11)
 def test_label_accuracy_matches_listed(pairs):
     preds, golds = [p for p, _ in pairs], [g for _, g in pairs]
-    new = label_accuracy(preds, golds)
+    new = _label_accuracy(preds, golds)
     old = _label_accuracy_listed(preds, golds)
     assert [value.hex() for value in new] == [value.hex() for value in old]
 
