@@ -120,6 +120,8 @@ class NliBank:
         ``records[offset + rng.randrange(size)]`` is the record :meth:`sample` (:meth:`sample_any`) draws.
         Raises :class:`BankError` when the bucket has no records or ``label`` is not an NLI label."""
         if label is None:
+            if not self.records:
+                raise BankError(f"bank {self.path!r} is empty")
             return 0, len(self.records)
         sizes = self.counts
         if not sizes.get(label):
@@ -132,9 +134,7 @@ class NliBank:
 
     def sample_any(self, rng: random.Random) -> NliRecord:
         """A uniformly drawn record of any label (one ``randrange`` call)."""
-        if not self.records:
-            raise BankError(f"bank {self.path!r} is empty")
-        return self.records[rng.randrange(len(self.records))]
+        return self.records[rng.randrange(self.span(None)[1])]
 
 
 def load_nli_bank(path) -> NliBank:
@@ -151,7 +151,9 @@ def load_nli_bank(path) -> NliBank:
         premise = raw.get("premise", raw.get("sentence1"))
         hypothesis = raw.get("hypothesis", raw.get("sentence2"))
         label = raw.get("label", raw.get("gold_label"))
-        if not all(isinstance(v, str) and v for v in (premise, hypothesis, label)):
+        # Spelled out rather than all() over a generator, which costs more per bank line.
+        if not (isinstance(premise, str) and premise and isinstance(hypothesis, str) and hypothesis
+                and isinstance(label, str) and label):
             raise ValueError("missing or empty fields")
         if label not in NLI_LABELS:
             raise ValueError(f"unknown label {label!r}")
@@ -349,9 +351,18 @@ def compile_template(template: Template) -> TemplatePlan:
 
 
 def _draw(spans, rng: random.Random) -> list[int]:
-    """The ``bank.records`` index of the record drawn from each :meth:`NliBank.span` in
-    ``spans``: the ``randrange`` calls ``NliBank.sample``/``sample_any`` make, in order."""
-    return [offset + rng.randrange(size) for offset, size in spans]
+    """``offset + i`` per ``(offset, size)`` in ``spans`` (each size positive), ``i`` drawn as CPython
+    3.10-3.13's ``rng.randrange(size)`` does: ``size.bit_length()`` bits of ``getrandbits``, drawn again
+    while not below ``size``. Written here because ``random`` does not promise ``randrange``'s rule."""
+    getrandbits = rng.getrandbits
+    picks = []
+    for offset, size in spans:
+        bits = size.bit_length()
+        index = getrandbits(bits)
+        while index >= size:
+            index = getrandbits(bits)
+        picks.append(offset + index)
+    return picks
 
 
 def _texts(plan: TemplatePlan, picks, premises, hypotheses) -> list:
@@ -395,16 +406,18 @@ def _drawer(config: GenConfig, bank: NliBank, split: str, plans: list[TemplatePl
 
     ``plans[Random(_derive_seed(config.seed, split, index, "pick")).randrange(len(plans))]``, then
     ``_draw`` under ``Random(_derive_seed(_derive_seed(config.seed, split), plan.template_id, index))``;
-    each seed continues a hash prefix made here, and seeds one reused ``Random``. Checks the bank.
+    each seed continues a hash prefix made here, and seeds one reused ``Random``; the pick is a
+    ``_draw`` too. Checks the bank.
     """
     split_seed = _derive_seed(config.seed, split)
     table = [(plan, _seed_prefix(split_seed, plan.template_id), [bank.span(d) for d in plan.draws]) for plan in plans]
+    pick_span = [(0, len(table))]
     pick_prefix = _seed_prefix(config.seed, split)
     rng = random.Random()
 
     def draw(index: int) -> tuple[TemplatePlan, int, list[int]]:
         rng.seed(_seed_after(pick_prefix, f"{index}\x1fpick"))
-        plan, prefix, spans = table[rng.randrange(len(table))]
+        plan, prefix, spans = table[_draw(pick_span, rng)[0]]
         example_seed = _seed_after(prefix, str(index))
         rng.seed(example_seed)
         return plan, example_seed, _draw(spans, rng)

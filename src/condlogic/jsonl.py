@@ -39,6 +39,22 @@ _NEEDS_ESCAPE = re.compile(r'[\x00-\x1f"\\]')
 # (json.dumps builds a new one per call when an option is given).
 _encode = json.JSONEncoder(ensure_ascii=False).encode
 
+# json.loads's scanner: ``(value, end)`` of the JSON value at an index of a string.
+_scan_once = json.JSONDecoder().scan_once
+
+
+def _decode(line: str):
+    """``json.loads(line)``, value or exception; an object followed by nothing but the newline
+    is taken from the scanner alone, without ``json.loads``'s BOM and whitespace checks."""
+    if line[:1] == "{":
+        try:
+            value, end = _scan_once(line, 0)
+            if line[end:] in ("", "\n"):
+                return value
+        except Exception:
+            pass
+    return json.loads(line)
+
 
 def undecodable(source, exc: UnicodeDecodeError) -> InvariantError:
     """The error for input that is not UTF-8 text."""
@@ -78,13 +94,13 @@ class JsonlReader:
     def __iter__(self) -> Iterator:
         try:
             for line_no, line in enumerate(self.lines, start=1):
-                if not line.strip():
+                if not line or line.isspace():
                     continue
                 if self.partial_tail and not line.endswith("\n"):
                     self._fault(line_no, "partial trailing line")
                     return
                 try:
-                    raw = json.loads(line)
+                    raw = _decode(line)
                 except json.JSONDecodeError as exc:
                     self._fault(line_no, f"invalid JSON ({exc})")
                     continue
@@ -176,30 +192,41 @@ def string_body(text: str) -> str:
     return encode_basestring(text)[1:-1] if _NEEDS_ESCAPE.search(text) else text
 
 
-def line_skeleton(record: dict, number_hole: int, text_holes: Sequence[str]) -> Callable[[int, Iterable[str]], str]:
+def line_skeleton(record: dict, number_hole: int, text_holes: Sequence[str]) -> Callable[[int, Sequence[str]], str]:
     """``fill(number, bodies)``: the line :func:`encode_line` makes of ``record`` with
     ``number_hole`` replaced by ``number`` and each of ``text_holes``, a part of one of its
     strings, replaced by the text whose :func:`string_body` is at its position in ``bodies``.
 
     ``record`` is encoded once, and cut at the holes in order: the number first, then each
     text hole's string body, inside its quotes, so the rest of that string (such as a
-    ``Ck: `` before the hole) stays in the line's pieces. A fill only joins the pieces with
-    the number and the bodies, which a caller escapes once per text, not once per line.
+    ``Ck: `` before the hole) stays in the line's pieces. A fill copies the pieces, with an
+    empty part left at each hole, slices the number and the bodies in and joins them; a caller
+    escapes the bodies once per text, not once per line.
     Raises :class:`InvariantError` unless each hole occurs exactly once in the line, after
     the holes before it; a hole name that is part of another's (``x1`` of ``x10``) occurs twice.
+    ``fill`` raises it unless ``bodies`` holds one body per text hole.
     """
     line = encode_line(record)
-    pieces, rest = [], line
+    parts, rest = [], line
     for hole in (str(number_hole), *map(string_body, text_holes)):
         if line.count(hole) != 1:
             raise InvariantError(f"hole {hole!r} occurs {line.count(hole)} times in the record's line, expected once")
         piece, found, rest = rest.partition(hole)
         if not found:
             raise InvariantError("two holes overlap, or are out of order, in the record's line")
-        pieces.append(piece)
-    pieces.append(rest)
-    fill = "{}".join(piece.replace("{", "{{").replace("}", "}}") for piece in pieces).format
-    return lambda number, bodies: fill(str(number), *bodies)
+        parts += piece, ""
+    parts.append(rest)
+
+    def fill(number: int, bodies: Sequence[str]) -> str:
+        filled = parts.copy()
+        filled[1] = str(number)
+        try:
+            filled[3::2] = bodies
+        except ValueError:
+            raise InvariantError(f"expected {len(text_holes)} bodies, one per text hole, got {len(bodies)}") from None
+        return "".join(filled)
+
+    return fill
 
 
 @contextmanager

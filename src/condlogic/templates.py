@@ -89,10 +89,6 @@ class Template:
         object.__setattr__(self, "groups", tuple(self.groups))
         object.__setattr__(self, "facts", tuple(self.facts))
 
-    @property
-    def n_conditions(self) -> int:
-        return sum(len(g.conditions) for g in self.groups)
-
 
 def _first_fault(t: Template) -> tuple[str, str, int] | None:
     """Return the first template rule ``t`` breaks, or ``None``.

@@ -111,7 +111,7 @@ def test_generation_counts(generated):
     config, templates, dev, test, elapsed = generated
     assert len(templates) == 65
     assert len({render_template_dsl(t) for t in templates}) == 65
-    assert all(t.n_conditions <= 6 for t in templates)
+    assert all(sum(len(g.conditions) for g in t.groups) <= 6 for t in templates)
     assert len(dev) == 5000
     assert len(test) == 5000
     assert elapsed < 60.0, f"took {elapsed:.1f}s"
@@ -137,7 +137,7 @@ def test_gold_self_consistency(generated):
 def test_twenty_condition_regime(big_bank):
     """20-condition templates generate, solve, and agree with the oracle."""
     config = GenConfig(seed=6, max_conditions=20, distractor_range=(0, 0), n_templates=160)
-    wide = [t for t in generate_templates(config) if t.n_conditions == 20]
+    wide = [t for t in generate_templates(config) if sum(len(g.conditions) for g in t.groups) == 20]
     assert len(wide) >= 2
     assert {t.groups[0].logical_type for t in wide} == {LogicalType.ALL, LogicalType.ANY}
 

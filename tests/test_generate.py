@@ -119,6 +119,9 @@ def test_sample_any_on_an_empty_bank_raises():
 
     with pytest.raises(BankError, match="^bank 'p' is empty$"):
         NliBank("p", {}).sample_any(random.Random(0))
+    # No span has size 0, on which _draw's redraw loop would never end.
+    with pytest.raises(BankError, match="^bank 'p' is empty$"):
+        NliBank("p", {}).span(None)
 
 
 # --- configuration ----------------------------------------------------------
@@ -161,7 +164,7 @@ def test_templates_distinct_valid_and_capped():
     for i, t in enumerate(templates):
         assert t.template_id == f"T{i:03d}"
         validate_template(t)
-        assert t.n_conditions <= config.max_conditions
+        assert sum(len(g.conditions) for g in t.groups) <= config.max_conditions
         assert 1 <= len(t.groups) <= 1 + config.distractor_range[1]
 
 
@@ -504,15 +507,35 @@ def test_plan_gold_matches_solver(big_bank, config):
 def test_draw_samples_the_bank_once_per_listed_draw(bank, dsl):
     plan = compile_template(parse_template_dsl(dsl))
     assert (plan.relevant is None) == ("irrelevant" in dsl)
+    spans = [bank.span(label) for label in plan.draws]
     rng = random.Random(11)
-    with mock.patch.object(rng, "randrange", wraps=rng.randrange) as randrange:
-        picks = _draw([bank.span(label) for label in plan.draws], rng)
-    # One randrange per listed draw, over its bucket's size (the whole bank for None).
+    with mock.patch.object(rng, "getrandbits", wraps=rng.getrandbits) as getrandbits:
+        picks = _draw(spans, rng)
+    # One draw per listed draw, over its bucket's size (the whole bank for None): a twin
+    # Random's randrange(size) walk, which asks getrandbits for the same bits in the same order.
     sizes = [len(bank) if label is None else bank.counts[label] for label in plan.draws]
-    assert [c.args for c in randrange.call_args_list] == [(size,) for size in sizes]
+    assert [size for _, size in spans] == sizes
+    twin = random.Random(11)
+    with mock.patch.object(twin, "getrandbits", wraps=twin.getrandbits) as twin_getrandbits:
+        walked = [offset + twin.randrange(size) for offset, size in spans]
+    assert picks == walked
+    assert getrandbits.call_args_list == twin_getrandbits.call_args_list
     assert len(picks) == len(plan.draws)
     for pick, label in zip(picks, plan.draws):
         assert label is None or bank.records[pick].label == label
+
+
+# Sizes up to 2**20, with the powers of two (and one past them), where a draw is refused most often.
+_draw_sizes = (
+    st.integers(1, 2**20) | st.integers(0, 20).map(lambda k: 2**k) | st.integers(0, 19).map(lambda k: 2**k + 1)
+)
+
+
+@given(seed=st.integers(0, 2**64 - 1), spans=st.lists(st.tuples(st.integers(0, 2**20), _draw_sizes), max_size=12))
+@example(seed=0, spans=[(0, 1), (0, 2), (5, 3), (0, 4), (0, 5), (7, 2**19), (0, 2**19 + 1), (0, 2**20)])
+def test_draw_is_the_randrange_walk_of_a_twin_random(seed, spans):
+    twin = random.Random(seed)
+    assert _draw(spans, random.Random(seed)) == [offset + twin.randrange(size) for offset, size in spans]
 
 
 _FACT_RELATION = {"entailment": FactRelation.SUPPORTS, "contradiction": FactRelation.CONTRADICTS}

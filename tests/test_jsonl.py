@@ -5,14 +5,14 @@ import re
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from condlogic import cli
 from condlogic.contexts import load_html_elements
 from condlogic.dataset_io import manifest_path, read_manifest, read_split
 from condlogic.errors import InvariantError
-from condlogic.jsonl import JsonlReader, encode_line, jsonl_writer, line_skeleton, string_body
+from condlogic.jsonl import JsonlReader, _decode, encode_line, jsonl_writer, line_skeleton, string_body
 from conftest import REFERENCE_TEMPLATE
 
 SOURCE = "f.jsonl"
@@ -99,6 +99,50 @@ def test_reader_policies_match_plain_walk(lines, unterminated, partial_tail):
         assert read == [json.loads(line) for kind, line in before if kind == "object"]
     else:
         assert list(strict) == records
+
+
+_json_values = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+# A line: an optional BOM or leading whitespace, a JSON text (an object, a broken one, or none),
+# then what follows it, JSON whitespace or not.
+_decode_heads = st.sampled_from(["", " ", "  \t", "\ufeff", "\ufeff "])
+_decode_bodies = st.one_of(
+    st.dictionaries(st.text(max_size=3), _json_values | st.lists(_json_values, max_size=2), max_size=3).map(json.dumps),
+    st.sampled_from(['{"a": }', "{", '{"a": 1', '{"a" 1}', "{}}", '{"a": NaN}', '{"a": "\\ud800"}', '{"a":1,}',
+                     "[1]", "5", '"s"', "null", "", "nope"]),
+)
+_decode_tails = st.lists(
+    st.sampled_from(["\n", "\r\n", " \n", "\x0c", "\x85", " ", "\t", "\r", "{}", " x", "\u2028"]), max_size=2
+).map("".join)
+
+
+@given(head=_decode_heads, body=_decode_bodies, tail=_decode_tails)
+@example(head="", body="{}", tail="\x0c")
+@example(head="", body="{}", tail="\x85\n")
+@example(head="", body='{"a": }', tail="\n")
+@example(head="\ufeff", body="{}", tail="\n")
+def test_decode_is_json_loads(head, body, tail):
+    line = head + body + tail
+    try:
+        expected = json.loads(line)
+    except Exception as exc:
+        with pytest.raises(Exception) as info:
+            _decode(line)
+        assert (type(info.value), str(info.value)) == (type(exc), str(exc))
+    else:
+        assert repr(_decode(line)) == repr(expected)
+
+
+def test_reader_fault_on_extra_data_is_json_loads_wording(caplog):
+    # Form feed is whitespace to str.isspace but not to JSON, so the line holds extra data.
+    text = '{"a": 1}\n{}\x0c\n'
+    with pytest.raises(InvariantError) as info:
+        list(JsonlReader(io.StringIO(text), SOURCE, dict, strict=True))
+    assert str(info.value) == "f.jsonl:2: invalid JSON (Extra data: line 1 column 3 (char 2))"
+    with caplog.at_level("WARNING"):
+        assert list(JsonlReader(io.StringIO(text), SOURCE, dict)) == [{"a": 1}]
+    assert [r.getMessage() for r in caplog.records] == [
+        "f.jsonl:2: invalid JSON (Extra data: line 1 column 3 (char 2)), skipping"
+    ]
 
 
 def test_undecodable_input_names_the_source(tmp_path):
@@ -193,6 +237,14 @@ def test_string_body_gives_back_a_text_that_needs_no_escape(text):
 @pytest.mark.parametrize("text", ['"', "\\", "a\x00b", "\x1f", "\n\r\t\b\f", 'say "caf\u00e9" \\ \U0001f600'])
 def test_string_body_escapes_as_json_dumps(text):
     assert json.dumps(text, ensure_ascii=False) == f'"{string_body(text)}"'
+
+
+@pytest.mark.parametrize("bodies", [[], ["A"], ["A", "B", "C"]], ids=["none", "too-few", "too-many"])
+def test_line_skeleton_fill_needs_one_body_per_text_hole(bodies):
+    fill = line_skeleton({"n": 99, "a": "x", "b": "y"}, 99, ["x", "y"])
+    assert fill(5, ["A", "B"]) == '{"n": 5, "a": "A", "b": "B"}\n'
+    with pytest.raises(InvariantError, match=f"^expected 2 bodies, one per text hole, got {len(bodies)}$"):
+        fill(5, bodies)
 
 
 @pytest.mark.parametrize(
