@@ -227,22 +227,24 @@ def _solve_valid(t: Template) -> Verdict:
 
 # --- textual form ---------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"[A-Za-z]+[0-9]*|[(),.:?]")
+_TOKEN = r"[A-Za-z]+[0-9]*|[(),.:?]"
+_TOKEN_RE = re.compile(_TOKEN)
 _QUALIFIER = r"(?:[A-Z]+|C[0-9]+)"
 _QUALIFIER_RE = re.compile(_QUALIFIER)
 _OPERATORS = {"all": LogicalType.ALL, "any": LogicalType.ANY}
 
-# Well-formed text, a whole statement per match. They accept only what the
+# Well-formed text, a whole statement per match. They accept exactly what the
 # token walk accepts: a word runs to the first character outside [A-Za-z0-9]
 # (each word in them is followed by whitespace, punctuation or the end),
 # ``not`` prefixes a name only across whitespace, a bare ``not`` is never a
-# name, and ``\s`` is ``str.isspace``.
+# name, and ``\s`` is ``str.isspace``. The label is any one token, which
+# ``_first_fault`` judges.
 _COND = r"(?:not\s+)?[A-Z]+"
 _FACT = r"(?:not\s+[a-z]+|(?!not(?![A-Za-z0-9]))[a-z]+)"
 _STATEMENT_RE = re.compile(rf"\s*If\s+(all|any)\s*\(\s*({_COND}(?:\s*,\s*{_COND})*)\s*\)\s*,\s*then\s+([A-Z]+)\s*\.")
 _TAIL_RE = re.compile(
     rf"\s*Facts\s*:\s*({_FACT}(?:\s*,\s*{_FACT})*)\s*\.\s*Question\s*:\s*Is\s+([a-z]+)\s+correct\s*\?"
-    rf"(?:\s*Label\s*:\s*([a-z]+)(?:\s*,\s*if\s+{_QUALIFIER}(?:\s*,\s*{_QUALIFIER})*)?)?\s*"
+    rf"(?:\s*Label\s*:\s*({_TOKEN})(?:\s*,\s*if\s+{_QUALIFIER}(?:\s*,\s*{_QUALIFIER})*)?)?\s*"
 )
 # The (prefix, name) of each reference in a ref list either regex accepted.
 _REF_RE = re.compile(r"(not\s+)?([A-Za-z]+)")
@@ -257,13 +259,16 @@ def _ref(prefix: str, name: str) -> VarRef:
     return VarRef(name.upper(), bool(prefix))
 
 
-def _token_positions(text: str) -> list[tuple[int, int]]:
-    """Return the 1-based ``(line, column)`` of each token of ``text``.
+def _scan(text: str) -> tuple[list[str], list[tuple[int, int]]]:
+    """Return the tokens of ``text`` and the 1-based ``(line, column)`` of each.
 
-    Raises :class:`ParseError` at the first character that starts no
-    token. The parser needs positions only to report an error.
+    The last token is an empty end sentinel placed just past the text's last
+    token; it equals no expected token, so the walk stops on it. Raises
+    :class:`ParseError` at the first character that starts no token.
     """
+    tokens: list[str] = []
     positions: list[tuple[int, int]] = []
+    end_at = (1, 1)
     for line_no, line in enumerate(text.splitlines(), start=1):
         pos = 0
         while pos < len(line):
@@ -273,67 +278,54 @@ def _token_positions(text: str) -> list[tuple[int, int]]:
             m = _TOKEN_RE.match(line, pos)
             if not m:
                 raise ParseError(f"unexpected character {line[pos]!r}", line_no, pos + 1)
+            tokens.append(m.group())
             positions.append((line_no, pos + 1))
             pos = m.end()
-    return positions
+            end_at = (line_no, pos + 1)
+    tokens.append("")
+    positions.append(end_at)
+    return tokens, positions
 
 
-def _error(text: str, tokens: list[str], index: int, message: str) -> ParseError:
-    """A :class:`ParseError` at ``tokens[index]``, or just past the last token."""
-    positions = _token_positions(text)
-    if index < len(positions):
-        line, col = positions[index]
-    elif positions:
-        line, col = positions[-1]
-        col += len(tokens[len(positions) - 1])
-    else:
-        line, col = 1, 1
-    return ParseError(message, line, col)
-
-
-def _unexpected(text: str, tokens: list[str], index: int, what: str, lead: str = "") -> ParseError:
+def _unexpected(
+    tokens: list[str], positions: list[tuple[int, int]], index: int, what: str, lead: str = ""
+) -> ParseError:
     """The token at ``index`` is not ``what``; at the end sentinel, the input ended early."""
     if index == len(tokens) - 1:
-        return _error(text, tokens, index, f"unexpected end of input, expected {what}")
+        return ParseError(f"unexpected end of input, expected {what}", *positions[index])
     lead = lead or f"expected {what}, found"
-    return _error(text, tokens, index, f"{lead} {tokens[index]!r}")
+    return ParseError(f"{lead} {tokens[index]!r}", *positions[index])
 
 
-def _expect(text: str, tokens: list[str], i: int, words: list[str]) -> int:
+def _expect(tokens: list[str], positions: list[tuple[int, int]], i: int, words: list[str]) -> int:
     """Return the index past ``words``, which must be the tokens from ``i`` on."""
-    end = i + len(words)
-    if tokens[i:end] != words:
-        for i, word in enumerate(words, start=i):
-            if tokens[i] != word:
-                raise _unexpected(text, tokens, i, repr(word))
-    return end
+    for i, word in enumerate(words, start=i):
+        if tokens[i] != word:
+            raise _unexpected(tokens, positions, i, repr(word))
+    return i + 1
 
 
-def _var(text: str, tokens: list[str], i: int, upper: bool, what: str) -> str:
+def _var(tokens: list[str], positions: list[tuple[int, int]], i: int, upper: bool, what: str) -> None:
     var = tokens[i]
-    if var.isalpha() and (var.isupper() if upper else var.islower()):
-        return var
-    raise _unexpected(text, tokens, i, what)
+    if not (var.isalpha() and (var.isupper() if upper else var.islower())):
+        raise _unexpected(tokens, positions, i, what)
 
 
 def _var_list(
-    text: str, tokens: list[str], i: int, upper: bool, what: str
-) -> tuple[list[VarRef], list[int], int]:
-    """Parse ``["not"] var ("," ["not"] var)*`` from ``i``.
+    tokens: list[str], positions: list[tuple[int, int]], i: int, upper: bool, what: str
+) -> tuple[list[int], int]:
+    """Walk ``["not"] var ("," ["not"] var)*`` from ``i``.
 
-    Returns the references (variables uppercased), the token index of
-    each variable, and the index past the list.
+    Returns the token index of each variable and the index past the list.
     """
-    refs: list[VarRef] = []
     at: list[int] = []
     while True:
-        negated = tokens[i] == "not"
-        if negated:
+        if tokens[i] == "not":
             i += 1
-        refs.append(_ref("not" if negated else "", _var(text, tokens, i, upper, what)))
+        _var(tokens, positions, i, upper, what)
         at.append(i)
         if tokens[i + 1] != ",":
-            return refs, at, i + 1
+            return at, i + 1
         i += 2
 
 
@@ -347,10 +339,10 @@ def parse_template_dsl(text: str) -> Template:
     defaults to ``entailed``, or ``irrelevant`` if the question matches no
     premise.
 
-    Well-formed text is matched a whole statement at a time, with no
-    tokens and no positions. Only text that does not match, or that breaks
-    a rule, goes to the token walk, which names the failing token's line
-    and column.
+    The template is built only from regex matches, a whole statement at a
+    time, with no tokens and no positions. Text that does not match, or
+    that breaks a rule, goes to the token walk, which builds nothing: it
+    only names the failing token's line and column.
     """
     # Lists, which the dataclasses turn into tuples of their exact size: a tuple
     # built straight from an iterator is resized, and when freed it piles up in
@@ -362,95 +354,80 @@ def parse_template_dsl(text: str) -> Template:
         groups.append(TemplateGroup(_OPERATORS[op], list(starmap(_ref, _REF_RE.findall(conditions))), premise))
         pos = m.end()
     tail = _TAIL_RE.fullmatch(text, pos)
+    fault = None
     if tail:
         facts, question, target = tail.groups()
         if target is None:
             target = "entailed" if any(g.consequent.lower() == question for g in groups) else "irrelevant"
         template = Template(groups, list(starmap(_ref, _REF_RE.findall(facts))), question, target)
-        if _first_fault(template) is None:
+        fault = _first_fault(template)
+        if fault is None:
             return template
-    return _parse_tokens(text)
+    raise _parse_tokens(text, fault)
 
 
-def _parse_tokens(text: str) -> Template:
-    """:func:`parse_template_dsl` token by token: the text is scanned once
-    without positions, and the line and column are worked out only when an
-    error is raised."""
-    tokens = _TOKEN_RE.findall(text)
-    # findall skips what no token matches; a skipped character shows as a
-    # shortfall against the text's non-whitespace length.
-    if sum(map(len, tokens)) != len("".join(text.split())):
-        _token_positions(text)  # raises at the first such character
-    end = len(tokens)
-    # The sentinel equals no expected token, so the parser stops on it and
-    # never indexes past it.
-    tokens.append("")
+def _parse_tokens(text: str, fault: tuple[str, str, int] | None) -> ParseError:
+    """Walk ``text`` token by token to locate why :func:`parse_template_dsl` refused it.
+
+    Raises :class:`ParseError` at the first syntax fault. Text the walk
+    accepts was matched, so ``fault`` is the matched template's rule fault:
+    it is returned as a :class:`ParseError` at its token.
+    """
+    tokens, positions = _scan(text)
+    end = len(tokens) - 1
 
     if tokens[0] != "If":
-        raise _unexpected(text, tokens, 0, "'If'")
+        raise _unexpected(tokens, positions, 0, "'If'")
     i = 0
-    groups: list[TemplateGroup] = []
     cond_at: list[int] = []
     premise_at: list[int] = []
     while tokens[i] == "If":
-        op = tokens[i + 1]
-        if op not in _OPERATORS:
-            raise _unexpected(text, tokens, i + 1, "operator", "unknown operator")
-        i = _expect(text, tokens, i + 2, ["("])
-        refs, at, i = _var_list(text, tokens, i, True, "condition variable")
+        if tokens[i + 1] not in _OPERATORS:
+            raise _unexpected(tokens, positions, i + 1, "operator", "unknown operator")
+        i = _expect(tokens, positions, i + 2, ["("])
+        at, i = _var_list(tokens, positions, i, True, "condition variable")
         cond_at += at
-        i = _expect(text, tokens, i, [")", ",", "then"])
-        premise = _var(text, tokens, i, True, "premise variable")
+        i = _expect(tokens, positions, i, [")", ",", "then"])
+        _var(tokens, positions, i, True, "premise variable")
         premise_at.append(i)
-        i = _expect(text, tokens, i + 1, ["."])
-        groups.append(TemplateGroup(_OPERATORS[op], refs, premise))
+        i = _expect(tokens, positions, i + 1, ["."])
 
-    i = _expect(text, tokens, i, ["Facts", ":"])
-    facts, fact_at, i = _var_list(text, tokens, i, False, "fact variable")
-    i = _expect(text, tokens, i, [".", "Question", ":", "Is"])
-    question = _var(text, tokens, i, False, "question variable")
+    i = _expect(tokens, positions, i, ["Facts", ":"])
+    fact_at, i = _var_list(tokens, positions, i, False, "fact variable")
+    i = _expect(tokens, positions, i, [".", "Question", ":", "Is"])
+    _var(tokens, positions, i, False, "question variable")
     question_at = i
-    i = _expect(text, tokens, i + 1, ["correct", "?"])
+    i = _expect(tokens, positions, i + 1, ["correct", "?"])
 
     label_at = -1
     if tokens[i] == "Label":
-        label_at = i = _expect(text, tokens, i + 1, [":"])
+        label_at = i = _expect(tokens, positions, i + 1, [":"])
         if i == end:
-            raise _unexpected(text, tokens, i, "label")
+            raise _unexpected(tokens, positions, i, "label")
         i += 1
         if tokens[i] == ",":
             # ", if C1, C2" solver qualifier: accepted, not stored.
-            i = _expect(text, tokens, i + 1, ["if"])
+            i = _expect(tokens, positions, i + 1, ["if"])
             while True:
                 if not _QUALIFIER_RE.fullmatch(tokens[i]):
-                    raise _unexpected(text, tokens, i, "condition id")
+                    raise _unexpected(tokens, positions, i, "condition id")
                 i += 1
                 if tokens[i] != ",":
                     break
                 i += 1
     if i != end:
-        raise _unexpected(text, tokens, i, "", "unexpected trailing input")
+        raise _unexpected(tokens, positions, i, "", "unexpected trailing input")
 
-    if label_at >= 0:
-        target = tokens[label_at]
-    elif any(g.consequent.lower() == question for g in groups):
-        target = "entailed"
-    else:
-        target = "irrelevant"
-    template = Template(tuple(groups), tuple(facts), question, target)
-
-    fault = _first_fault(template)
-    if fault:
-        message, site, index = fault
-        sites = {
-            "condition": cond_at,
-            "premise": premise_at,
-            "fact": fact_at,
-            "question": [question_at],
-            "label": [label_at],
-        }
-        raise _error(text, tokens, sites[site][index], message)
-    return template
+    assert fault is not None, "the token walk accepted text the statement match refused"
+    message, site, index = fault
+    sites = {
+        "condition": cond_at,
+        "premise": premise_at,
+        "fact": fact_at,
+        "question": [question_at],
+        "label": [label_at],
+    }
+    return ParseError(message, *positions[sites[site][index]])
 
 
 def _ref_text(ref: VarRef, lower: bool = False) -> str:

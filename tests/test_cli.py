@@ -86,12 +86,15 @@ def test_solve_checks_each_template_once(tmp_path, capsys):
     path = tmp_path / "templates.jsonl"
     dsl = "If all (A), then U.\nFacts: a.\nQuestion: Is u correct?"
     records = [{"template_id": f"T00{i}", "dsl": dsl} for i in range(3)]
+    # A rule fault is checked once too: the walk only names its token.
+    records.append({"template_id": "T003", "dsl": dsl.replace("Facts: a.", "Facts: a, a.")})
     path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
     with mock.patch.object(templates, "_first_fault", wraps=templates._first_fault) as first_fault:
-        code, out, _ = run(capsys, "solve", "--file", str(path))
-    assert code == 0
+        code, out, err = run(capsys, "solve", "--file", str(path))
+    assert code == 1
     assert out.splitlines() == ["T000: entailed", "T001: entailed", "T002: entailed"]
-    assert first_fault.call_count == 3
+    assert "line 2, column 11: duplicate fact 'a'" in err
+    assert first_fault.call_count == 4
 
 
 def test_solve_assignments_table(capsys):

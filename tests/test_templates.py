@@ -24,6 +24,7 @@ from condlogic import (
     template_groups,
     validate_template,
 )
+from condlogic import templates as templates_module
 from condlogic.generate import _CONSEQUENT_ALPHABET, _bijective_name, _random_template
 from condlogic.templates import TARGET_RELATIONS, _first_fault, _solve_valid
 from conftest import REFERENCE_TEMPLATE
@@ -139,6 +140,8 @@ _Q = "Question: Is u correct?"
             "question variable 'w' does not match any premise",
         ),
         ("If all (A), then U.\nFacts: a.\n" + _Q + "\nLabel: maybe", 4, 8, "unknown label 'maybe'"),
+        # A label the statement match takes as one token, though no [a-z]+ word.
+        ("If all (A), then U.\nFacts: a.\n" + _Q + "\nLabel: Entailed", 4, 8, "unknown label 'Entailed'"),
         ("If all (A), then U.\nFacts: a.\n" + _Q + "\nLabel:", 4, 7, "unexpected end of input, expected label"),
         (
             "If all (A), then U.\nFacts: a.\n" + _Q + "\nLabel: entailed, if c1",
@@ -623,3 +626,33 @@ def mutated_texts(draw):
 @example("If all (A), then U.\nFacts: a.\nQuestion: Is u correct? \u00e9")
 def test_parser_matches_first_parser(text):
     assert _outcome(parse_template_dsl, text) == _outcome(_old_parse_template_dsl, text)
+
+
+_WALK_EXAMPLE = "If all (A), then U.\nFacts: a.\nQuestion: Is u correct?\nLabel:"
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_texts())
+# Labels that are one token but no [a-z]+ word: the match must take them too.
+@example(_WALK_EXAMPLE + " neutral1")
+@example(_WALK_EXAMPLE + "Ifentailed, if B\n")
+@example(_WALK_EXAMPLE + " Entailed")
+@example(_WALK_EXAMPLE + " (")
+def test_match_and_walk_accept_the_same_texts(text):
+    # parse_template_dsl hands the walk the matched template's rule fault, or
+    # None when the match failed.
+    with mock.patch.object(templates_module, "_parse_tokens", wraps=templates_module._parse_tokens) as walk:
+        try:
+            parse_template_dsl(text)
+            return
+        except ParseError as exc:
+            error = exc
+    [(_, fault)] = [call.args for call in walk.call_args_list]
+    if fault is None:
+        # The match refused the text, so the walk must refuse its syntax.
+        with pytest.raises(ParseError):
+            templates_module._parse_tokens(text, None)
+    else:
+        # The match took the text, so the walk must too, and name that fault.
+        assert str(templates_module._parse_tokens(text, fault)) == str(error)
+        assert str(error).endswith(f": {fault[0]}")
