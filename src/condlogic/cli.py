@@ -18,25 +18,14 @@ from contextlib import closing, nullcontext
 from itertools import chain, islice
 from pathlib import Path
 
-from .contexts import group_elements, load_html_elements
-from .dataset_io import SplitManifest, _sorted_ids, group_to_dict, manifest_path, plan_line, write_split
+from .contexts import group_elements, group_to_dict, load_html_elements
 from .errors import ParseError, ToolkitError
-from .generate import (
-    GenConfig,
-    _draws,
-    _texts,
-    compile_template,
-    config_hash,
-    generate_templates,
-    load_nli_bank,
-)
 from .jsonl import (
     JsonlReader, _refuse_to_overwrite, jsonl_writer, optional_field, require_fields, str_field, string_body,
     undecodable,
 )
 from .logic import LogicalType, TaskProfile, enumerate_assignments
 from .metrics import evaluate_files, format_report
-from .templates import _solve_valid, condition_ids, parse_template_dsl, render_template_dsl
 
 _PROFILES = {
     "condnli": TaskProfile.CONDNLI,
@@ -60,6 +49,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def cmd_generate(args) -> int:
+    # The generator stack is imported here, so the other commands never load it.
+    from .dataset_io import SplitManifest, manifest_path, plan_line, write_split
+    from .generate import GenConfig, _draws, _texts, compile_template, config_hash, generate_templates, load_nli_bank
+    from .templates import render_template_dsl
+
     if args.train < 0:
         raise ToolkitError("--train cannot be negative")
     config = GenConfig(
@@ -133,6 +127,8 @@ def _assignments_table(spec: str) -> str:
 
 
 def cmd_solve(args) -> int:
+    from .templates import _solve_valid, _sorted_ids, condition_ids, parse_template_dsl
+
     if args.assignments:
         if args.out:
             raise ToolkitError("--out cannot be used with --assignments, which writes no verdicts")

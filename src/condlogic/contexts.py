@@ -147,3 +147,12 @@ def group_elements(elements: Iterable[HtmlElement], leaf_depths: Counter | None 
     while len(stack) > 1:
         if done := close():
             yield done
+
+
+def group_to_dict(group: ConditionGroup) -> dict:
+    return {
+        "result_id": group.result_id,
+        "result": group.result_text,
+        "type": group.logical_type.value,
+        "conditions": [{"id": c.id, "text": c.text} for c in group.conditions],
+    }

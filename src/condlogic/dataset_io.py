@@ -17,12 +17,14 @@ from dataclasses import asdict, dataclass, replace
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import __version__
+from .contexts import group_to_dict
 from .generate import Example, TemplatePlan, _example
 from .jsonl import (
     JsonlReader, encode_line, int_field, jsonl_writer, line_skeleton, line_writer, require_fields, str_field,
     str_list_field,
 )
 from .logic import Condition, ConditionGroup, LogicalType, TaskProfile, Verdict
+from .templates import _sorted_ids
 
 logger = logging.getLogger(__name__)
 
@@ -53,19 +55,6 @@ class SplitManifest:
             config_hash=str_field(raw["config_hash"], "config_hash"),
             version=str_field(raw.get("version", ""), "version"),
         )
-
-
-def _sorted_ids(ids) -> list[str]:
-    return sorted(ids, key=lambda i: (len(i), i))
-
-
-def group_to_dict(group: ConditionGroup) -> dict:
-    return {
-        "result_id": group.result_id,
-        "result": group.result_text,
-        "type": group.logical_type.value,
-        "conditions": [{"id": c.id, "text": c.text} for c in group.conditions],
-    }
 
 
 def example_to_dict(example: Example) -> dict:

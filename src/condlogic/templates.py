@@ -166,6 +166,11 @@ def condition_ids(t: Template) -> dict[str, str]:
     return out
 
 
+def _sorted_ids(ids) -> list[str]:
+    """Condition ids in document order: ``C2`` before ``C10``."""
+    return sorted(ids, key=lambda i: (len(i), i))
+
+
 def _resolve_groups(t: Template, groups) -> list[ConditionGroup]:
     """``groups`` of ``t`` as evaluable condition groups, their conditions resolved against its facts."""
     fact_map = {

@@ -855,7 +855,7 @@ def test_generate_with_an_empty_out_is_a_usage_error(tmp_path, capsys, monkeypat
     cwd = tmp_path / "cwd"
     cwd.mkdir()
     monkeypatch.chdir(cwd)
-    with mock.patch.object(cli, "load_nli_bank", wraps=cli.load_nli_bank) as load:
+    with mock.patch.object(generate_module, "load_nli_bank", wraps=generate_module.load_nli_bank) as load:
         code, out, err = run(capsys, "generate", "--bank", str(bank_path), "--out", "", "--seed", "3",
                              "--templates", "8", "--dev", "20", "--test", "20", "--train", "5")
     assert code == 1

@@ -1,6 +1,13 @@
 import ast
+import importlib
+import json
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
+
+import pytest
 
 import condlogic
 
@@ -11,12 +18,58 @@ def test_every_exported_name_resolves():
 
 
 def test_every_public_name_is_exported():
+    # Names resolve on first use, so resolve them all before reading the package's globals.
+    exported = {name: getattr(condlogic, name) for name in condlogic.__all__}
     public = {
         name
         for name, value in vars(condlogic).items()
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
-    assert sorted(public - set(condlogic.__all__)) == []
+    assert public | {"__version__"} == set(condlogic.__all__)
+    for module, names in condlogic._EXPORTS.items():
+        defining = importlib.import_module(f"condlogic.{module}")
+        for name in names:
+            assert exported[name] is getattr(defining, name), name
+            if isinstance(exported[name], (type, types.FunctionType)):
+                assert exported[name].__module__ == defining.__name__, name
+    assert set(dir(condlogic)) >= set(condlogic.__all__)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        condlogic.no_such_name
+
+
+_GENERATOR = {"condlogic.dataset_io", "condlogic.generate", "condlogic.templates"}
+
+
+def _modules_loaded_by(tmp_path, code: str) -> set[str]:
+    """The ``condlogic.*`` submodules a fresh interpreter holds after running ``code``."""
+    probe = f"{code}\nimport sys\nprint()\nprint(*sorted(m for m in sys.modules if m.startswith('condlogic.')))"
+    env = {**os.environ, "PYTHONPATH": str(Path(condlogic.__file__).resolve().parent.parent)}
+    result = subprocess.run([sys.executable, "-c", probe], env=env, cwd=tmp_path, capture_output=True, text=True,
+                            timeout=60)
+    assert result.returncode == 0, result.stderr
+    return set(result.stdout.splitlines()[-1].split())
+
+
+def test_import_loads_no_submodule(tmp_path):
+    assert _modules_loaded_by(tmp_path, "import condlogic") == set()
+    loaded = _modules_loaded_by(tmp_path, "import condlogic.cli")
+    assert "condlogic.metrics" in loaded and loaded.isdisjoint(_GENERATOR)
+
+
+@pytest.mark.parametrize(
+    "command, unloaded",
+    [
+        (["evaluate", "--pred", "labels.jsonl", "--gold", "labels.jsonl", "--profile", "sharc"], _GENERATOR),
+        (["parse-context", "--in", "page.jsonl", "--out", "groups.jsonl"], _GENERATOR),
+        (["solve", "--assignments", "any:2"], _GENERATOR - {"condlogic.templates"}),
+    ],
+    ids=["evaluate", "parse-context", "solve"],
+)
+def test_a_command_loads_only_what_it_runs(tmp_path, command, unloaded):
+    (tmp_path / "labels.jsonl").write_text(json.dumps({"id": "0", "label": "yes"}) + "\n", encoding="utf-8")
+    (tmp_path / "page.jsonl").write_text(json.dumps({"tag": "li", "text": "you live there"}) + "\n", encoding="utf-8")
+    loaded = _modules_loaded_by(tmp_path, f"import condlogic.cli\nassert condlogic.cli.main({command!r}) == 0")
+    assert loaded.isdisjoint(unloaded), sorted(loaded & unloaded)
 
 
 def test_every_private_module_name_is_used():
