@@ -49,7 +49,7 @@ def _element(raw: dict) -> HtmlElement:
     tag = str(raw.get("tag", "other")).lower()
     if tag not in _KNOWN:
         tag = "other"
-    return HtmlElement(tag=tag, text=text)
+    return HtmlElement(tag, text)
 
 
 def load_html_elements(path) -> Iterator[HtmlElement]:
@@ -110,12 +110,13 @@ def group_elements(elements: Iterable[HtmlElement], leaf_depths: Counter | None 
 
     def group(texts: list[str], path: list[_Frame]) -> ConditionGroup:
         # ``path`` runs from the top level down to the leaves' parent.
+        # Built positionally, from lists: a keyword call costs more, and a tuple made from a
+        # list has its size at once and is not resized.
         return ConditionGroup(
-            result_id=f"R{next(group_numbers)}",
-            result_text=RESULT_SEPARATOR.join(frame.text for frame in reversed(path)),
-            logical_type=LogicalType.UNKNOWN,
-            # From a list, so that the tuple is made at its size and not resized.
-            conditions=tuple([Condition(id=f"C{next(leaf_numbers)}", text=text) for text in texts]),
+            f"R{next(group_numbers)}",
+            RESULT_SEPARATOR.join([frame.text for frame in reversed(path)]),
+            LogicalType.UNKNOWN,
+            [Condition(f"C{next(leaf_numbers)}", text) for text in texts],
         )
 
     def close() -> ConditionGroup | None:

@@ -20,7 +20,7 @@ import os
 import re
 from contextlib import contextmanager
 from dataclasses import KW_ONLY, dataclass, field
-from json.encoder import encode_basestring
+from json.encoder import c_make_encoder, encode_basestring
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import InvariantError, ToolkitError
@@ -35,9 +35,12 @@ _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
 # The characters json.dumps escapes in a string when ensure_ascii is false.
 _NEEDS_ESCAPE = re.compile(r'[\x00-\x1f"\\]')
 
-# What json.dumps(record, ensure_ascii=False) returns, with one encoder for every line
-# (json.dumps builds a new one per call when an option is given).
-_encode = json.JSONEncoder(ensure_ascii=False).encode
+# The C encoder that JSONEncoder(ensure_ascii=False).encode makes on every call, made once with
+# the arguments its iterencode passes. A call returns the text as a list or a tuple of one string.
+# The markers dict finds circular records; a refused record leaves entries in it, so encode_line
+# empties it then.
+_markers: dict = {}
+_encoder = c_make_encoder(_markers, json.JSONEncoder().default, encode_basestring, None, ": ", ", ", False, False, True)
 
 # json.loads's scanner: ``(value, end)`` of the JSON value at an index of a string.
 _scan_once = json.JSONDecoder().scan_once
@@ -109,7 +112,7 @@ class JsonlReader:
                     continue
                 if "\\" in line and _SURROGATE_ESCAPE.search(line):
                     try:
-                        _encode(raw).encode("utf-8")
+                        encode_line(raw).encode("utf-8")
                     except UnicodeEncodeError:
                         self._fault(line_no, "lone surrogate escape in a string")
                         continue
@@ -180,9 +183,14 @@ def _refuse_to_overwrite(path, sources, what: str) -> None:
 def encode_line(record: dict) -> str:
     """The line, newline included, that :func:`jsonl_writer` writes for ``record``.
 
-    Non-ASCII text is written as is, not as ``\\u`` escapes.
+    It is ``json.dumps(record, ensure_ascii=False)`` and a newline: non-ASCII text is
+    written as is, not as ``\\u`` escapes.
     """
-    return _encode(record) + "\n"
+    try:
+        return "".join(_encoder(record, 0)) + "\n"
+    except BaseException:
+        _markers.clear()
+        raise
 
 
 def string_body(text: str) -> str:

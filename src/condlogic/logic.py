@@ -145,6 +145,21 @@ _RAW_LABEL = {
     EvidenceState.CONTRADICTED: ConditionLabel.CONTRADICTED,
     EvidenceState.NOT_MENTIONED: ConditionLabel.NOT_MENTIONED,
 }
+# evaluate_group's label of each state in an undetermined all group, and in a satisfied or an
+# undetermined any group; the other outcomes label every state raw or all alike.
+_ALL_UNDETERMINED_LABEL = {
+    EvidenceState.ENTAILED: ConditionLabel.ENTAILED,
+    EvidenceState.NOT_MENTIONED: ConditionLabel.TO_CHECK,
+}
+_ANY_SATISFIED_LABEL = {
+    EvidenceState.ENTAILED: ConditionLabel.ENTAILED,
+    EvidenceState.CONTRADICTED: ConditionLabel.IMPLIED,
+    EvidenceState.NOT_MENTIONED: ConditionLabel.IMPLIED,
+}
+_ANY_UNDETERMINED_LABEL = {
+    EvidenceState.CONTRADICTED: ConditionLabel.CONTRADICTED,
+    EvidenceState.NOT_MENTIONED: ConditionLabel.TO_CHECK,
+}
 
 
 def evaluate_group(group: ConditionGroup) -> tuple[GroupStatus, tuple[ConditionLabel, ...]]:
@@ -156,45 +171,39 @@ def evaluate_group(group: ConditionGroup) -> tuple[GroupStatus, tuple[ConditionL
     and ``unknown`` groups cannot be evaluated at all.
     """
     lt = group.logical_type
+    conditions = group.conditions
     if lt is LogicalType.UNKNOWN:
         raise InvariantError(
             f"group {group.result_id!r} has unresolved logical type 'unknown'"
         )
-    if lt is LogicalType.REQUIRED and len(group.conditions) != 1:
+    if lt is LogicalType.REQUIRED and len(conditions) != 1:
         raise InvariantError(
             f"required group {group.result_id!r} must hold exactly one condition, "
-            f"got {len(group.conditions)}"
+            f"got {len(conditions)}"
         )
-    if not group.conditions:
+    if not conditions:
         return GroupStatus.SATISFIED, ()
 
-    states = [c.evidence for c in group.conditions]
+    # A list: membership tests on it cost less than any() or all() over a generator.
+    states = [c.evidence for c in conditions]
     if lt is LogicalType.OPTIONAL:
         # Optional conditions never gate the result and are never to check.
-        return GroupStatus.SATISFIED, tuple(_RAW_LABEL[s] for s in states)
+        return GroupStatus.SATISFIED, tuple([_RAW_LABEL[s] for s in states])
 
-    if lt in (LogicalType.ALL, LogicalType.REQUIRED):
-        if any(s is EvidenceState.CONTRADICTED for s in states):
-            return GroupStatus.CONTRADICTED, tuple(_RAW_LABEL[s] for s in states)
-        if all(s is EvidenceState.ENTAILED for s in states):
-            return GroupStatus.SATISFIED, tuple(ConditionLabel.ENTAILED for _ in states)
-        return GroupStatus.UNDETERMINED, tuple(
-            ConditionLabel.TO_CHECK if s is EvidenceState.NOT_MENTIONED else ConditionLabel.ENTAILED
-            for s in states
-        )
+    if lt is LogicalType.ANY:
+        # One entailed disjunct settles the group and implies the rest.
+        if EvidenceState.ENTAILED in states:
+            return GroupStatus.SATISFIED, tuple([_ANY_SATISFIED_LABEL[s] for s in states])
+        if EvidenceState.NOT_MENTIONED not in states:
+            return GroupStatus.CONTRADICTED, (ConditionLabel.CONTRADICTED,) * len(states)
+        return GroupStatus.UNDETERMINED, tuple([_ANY_UNDETERMINED_LABEL[s] for s in states])
 
-    # ANY: one entailed disjunct settles the group and implies the rest.
-    if any(s is EvidenceState.ENTAILED for s in states):
-        return GroupStatus.SATISFIED, tuple(
-            ConditionLabel.ENTAILED if s is EvidenceState.ENTAILED else ConditionLabel.IMPLIED
-            for s in states
-        )
-    if all(s is EvidenceState.CONTRADICTED for s in states):
-        return GroupStatus.CONTRADICTED, tuple(ConditionLabel.CONTRADICTED for _ in states)
-    return GroupStatus.UNDETERMINED, tuple(
-        ConditionLabel.TO_CHECK if s is EvidenceState.NOT_MENTIONED else ConditionLabel.CONTRADICTED
-        for s in states
-    )
+    # ALL and REQUIRED
+    if EvidenceState.CONTRADICTED in states:
+        return GroupStatus.CONTRADICTED, tuple([_RAW_LABEL[s] for s in states])
+    if EvidenceState.NOT_MENTIONED not in states:
+        return GroupStatus.SATISFIED, (ConditionLabel.ENTAILED,) * len(states)
+    return GroupStatus.UNDETERMINED, tuple([_ALL_UNDETERMINED_LABEL[s] for s in states])
 
 
 # Table-driven reference implementation, kept deliberately independent of

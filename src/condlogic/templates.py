@@ -35,8 +35,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import lru_cache
-from itertools import starmap
 
 from .errors import InvariantError, ParseError
 from .logic import (
@@ -171,31 +169,49 @@ def _sorted_ids(ids) -> list[str]:
     return sorted(ids, key=lambda i: (len(i), i))
 
 
+#: The most entries :data:`_REFS` or :data:`_CONDITIONS` holds; a full memo is emptied and refilled.
+_MEMO_SIZE = 1024
+
+#: Shared resolved conditions, keyed by variable, negation and the negation of the fact on it
+#: (``None`` for no fact): plain values, whose hashes are computed in C, unlike a ``VarRef``'s.
+_CONDITIONS: dict[tuple[str, bool, bool | None], Condition] = {}
+
+
+def _memo_put(memo: dict, key, value):
+    """Store ``value`` under ``key`` in ``memo`` and return it, emptying ``memo`` first when it is full."""
+    if len(memo) >= _MEMO_SIZE:
+        memo.clear()
+    memo[key] = value
+    return value
+
+
+def _condition(key: tuple[str, bool, bool | None]) -> Condition:
+    """The shared :class:`Condition` of a ``(var, negated, fact_negated)`` key, built on a miss."""
+    var, negated, fact_negated = key
+    relation = None if fact_negated is None else FactRelation.CONTRADICTS if fact_negated else FactRelation.SUPPORTS
+    condition = Condition(var, f"not {var}" if negated else var, negated, resolve_state(negated, relation))
+    return _memo_put(_CONDITIONS, key, condition)
+
+
 def _resolve_groups(t: Template, groups) -> list[ConditionGroup]:
-    """``groups`` of ``t`` as evaluable condition groups, their conditions resolved against its facts."""
-    fact_map = {
-        f.var: FactRelation.CONTRADICTS if f.negated else FactRelation.SUPPORTS
-        for f in t.facts
-    }
+    """``groups`` of ``t`` as evaluable condition groups, their conditions resolved against its facts.
+
+    A resolved condition is fixed by its variable, its negation and the fact on it, so equal
+    ones are one shared value from a bounded memo, not one build per occurrence.
+    """
+    fact_negated = {f.var: f.negated for f in t.facts}.get
     intrinsic = None if t.target_relation == "irrelevant" else t.target_relation
-    return [
-        ConditionGroup(
-            result_id=g.consequent,
-            result_text=g.consequent,
-            logical_type=g.logical_type,
-            conditions=tuple([
-                Condition(
-                    id=ref.var,
-                    text=f"not {ref.var}" if ref.negated else ref.var,
-                    negated=ref.negated,
-                    evidence=resolve_state(ref.negated, fact_map.get(ref.var)),
-                )
-                for ref in g.conditions
-            ]),
-            intrinsic_relation=intrinsic if g.consequent.lower() == t.question_var else None,
-        )
-        for g in groups
-    ]
+    resolved = []
+    for g in groups:
+        conditions = []
+        for ref in g.conditions:
+            key = (ref.var, ref.negated, fact_negated(ref.var))
+            conditions.append(_CONDITIONS.get(key) or _condition(key))
+        resolved.append(ConditionGroup(
+            g.consequent, g.consequent, g.logical_type, conditions,
+            intrinsic if g.consequent.lower() == t.question_var else None,
+        ))
+    return resolved
 
 
 def template_groups(t: Template) -> tuple[list[ConditionGroup], int | None]:
@@ -251,17 +267,26 @@ _TAIL_RE = re.compile(
     rf"\s*Facts\s*:\s*({_FACT}(?:\s*,\s*{_FACT})*)\s*\.\s*Question\s*:\s*Is\s+([a-z]+)\s+correct\s*\?"
     rf"(?:\s*Label\s*:\s*({_TOKEN})(?:\s*,\s*if\s+{_QUALIFIER}(?:\s*,\s*{_QUALIFIER})*)?)?\s*"
 )
-# The (prefix, name) of each reference in a ref list either regex accepted.
+# The (prefix, name) of the reference in one item of a ref list either regex accepted.
 _REF_RE = re.compile(r"(not\s+)?([A-Za-z]+)")
 
+#: Shared references, keyed by the spelling of an item between the commas of a ref list.
+_REFS: dict[str, VarRef] = {}
 
-@lru_cache(maxsize=1024)
-def _ref(prefix: str, name: str) -> VarRef:
-    """A shared :class:`VarRef` for ``name`` uppercased, negated when ``prefix`` is not empty.
 
-    Cached by spelling, so a run builds a few dozen references, not one per occurrence.
+def _ref(item: str) -> VarRef:
+    """The :class:`VarRef` an item of a ref list spells, built on a miss of :data:`_REFS`.
+
+    Memoised by spelling, whitespace included, in at most ``_MEMO_SIZE`` entries, so a run
+    builds a few dozen references, not one per occurrence, and keeps no more than the bound.
     """
-    return VarRef(name.upper(), bool(prefix))
+    prefix, name = _REF_RE.search(item).groups()
+    return _memo_put(_REFS, item, VarRef(name.upper(), bool(prefix)))
+
+
+def _refs(items: str) -> list[VarRef]:
+    """The references of a ref list either regex accepted: ``item ("," item)*``, so split on commas."""
+    return [_REFS.get(item) or _ref(item) for item in items.split(",")]
 
 
 def _scan(text: str) -> tuple[list[str], list[tuple[int, int]]]:
@@ -356,7 +381,7 @@ def parse_template_dsl(text: str) -> Template:
     pos = 0
     while m := _STATEMENT_RE.match(text, pos):
         op, conditions, premise = m.groups()
-        groups.append(TemplateGroup(_OPERATORS[op], list(starmap(_ref, _REF_RE.findall(conditions))), premise))
+        groups.append(TemplateGroup(_OPERATORS[op], _refs(conditions), premise))
         pos = m.end()
     tail = _TAIL_RE.fullmatch(text, pos)
     fault = None
@@ -364,7 +389,7 @@ def parse_template_dsl(text: str) -> Template:
         facts, question, target = tail.groups()
         if target is None:
             target = "entailed" if any(g.consequent.lower() == question for g in groups) else "irrelevant"
-        template = Template(groups, list(starmap(_ref, _REF_RE.findall(facts))), question, target)
+        template = Template(groups, _refs(facts), question, target)
         fault = _first_fault(template)
         if fault is None:
             return template

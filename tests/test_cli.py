@@ -5,6 +5,7 @@ import itertools
 import json
 import logging
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -779,6 +780,118 @@ def test_parse_context_same_bytes_on_every_python(tmp_path, minor):
         f"{page}:10: empty text, skipping\n"
         f"{page}:13: text is not a string: None, skipping\n"
     )
+
+
+# --- golden digests: solve and parse-context at scale -------------------------------
+
+# Whitespace a separator may be spelled with: ``\s`` and ``str.isspace`` both take U+2028 and U+001C.
+_GOLDEN_SPACES = (" ", " ", " ", "  ", "\t", "\n ", "\u2028", "\x1c")
+# Condition names, multi-letter ones among them ("note" is a fact word that starts with "not").
+_GOLDEN_CONDITIONS = [*"ABCDEFGHIJKLMNOPQRST", "AB", "CD", "NOTE", "XQ"]
+_GOLDEN_PREMISES = [*"UVWXYZ", "PR", "RES"]
+
+
+def _golden_templates(rng: random.Random, n: int) -> list[dict]:
+    """``n`` valid templates.jsonl records: up to 20 conditions, negations, facts, ``Label:``
+    lines with and without a ``, if ...`` qualifier, and varied whitespace."""
+
+    def gap(required: bool = False) -> str:
+        return "" if not required and rng.random() < 0.3 else rng.choice(_GOLDEN_SPACES)
+
+    def ref(name: str) -> str:
+        return f"not{gap(True)}{name}" if rng.random() < 0.3 else name
+
+    records = []
+    for i in range(n):
+        n_conditions = rng.randint(1, 20)
+        n_groups = rng.randint(1, min(len(_GOLDEN_PREMISES) - 1, n_conditions))
+        cuts = sorted(rng.sample(range(1, n_conditions), n_groups - 1))
+        variables = rng.sample(_GOLDEN_CONDITIONS, n_conditions)
+        premises = rng.sample(_GOLDEN_PREMISES, len(_GOLDEN_PREMISES))
+        parts = []
+        for premise, lo, hi in zip(premises, [0, *cuts], [*cuts, n_conditions]):
+            refs = f"{gap()},{gap()}".join(ref(v) for v in variables[lo:hi])
+            parts.append(f"{gap()}If{gap(True)}{rng.choice(('all', 'any'))}{gap()}({gap()}{refs}{gap()}){gap()},"
+                         f"{gap()}then{gap(True)}{premise}{gap()}.")
+        facts = [v.lower() for v in variables if rng.random() < 0.5] or [variables[0].lower()]
+        rng.shuffle(facts)
+        fact_text = f"{gap()},{gap()}".join(ref(f) for f in facts)
+        irrelevant = rng.random() < 0.2
+        question = premises[n_groups if irrelevant else rng.randrange(n_groups)].lower()
+        parts.append(f"{gap()}Facts{gap()}:{gap()}{fact_text}{gap()}.{gap()}Question{gap()}:{gap()}Is{gap(True)}"
+                     f"{question}{gap(True)}correct{gap()}?")
+        if rng.random() < 0.75:
+            label = "irrelevant" if irrelevant else rng.choice(("entailed", "contradicted", "neutral"))
+            parts.append(f"{gap()}Label{gap()}:{gap()}{label}")
+            if rng.random() < 0.3:
+                qualifiers = [rng.choice((f"C{rng.randrange(25)}", rng.choice(variables))) for _ in range(3)]
+                parts.append(f"{gap()},{gap()}if{gap(True)}" + f"{gap()},{gap()}".join(qualifiers[:rng.randint(1, 3)]))
+        parts.append(gap())
+        record = {"dsl": "".join(parts)}
+        if rng.random() < 0.95:
+            record["template_id"] = f"G{i:04d}"
+        records.append(record)
+    return records
+
+
+def _golden_page(rng: random.Random, n: int) -> list[str]:
+    """``n`` lines of a tagged page: nested headings, list items, unknown tags, and lines the
+    reader skips (blank or missing text, text that is not a string, no object, bad JSON)."""
+    words = ["Apply", "in", "person", "fee", "students", "pay", "half", "\u00e9t\u00e9", "1200", "\U0001f600",
+             "if", "you", "qualify", "\"quoted\"", "back\\slash"]
+    tags = ["h1", "h2", "h3", "h4", "p", "p", "p", "li", "li", "li", "li", "tr", "other", "blockquote", "H3", None]
+    lines = []
+    for _ in range(n):
+        roll = rng.random()
+        if roll < 0.9:
+            text = " ".join(rng.choice(words) for _ in range(rng.randint(1, 8)))
+            if rng.random() < 0.1:
+                text = f"{rng.choice(_GOLDEN_SPACES)}{text}{rng.choice(_GOLDEN_SPACES)}"
+            tag = rng.choice(tags)
+            lines.append(json.dumps({"text": text} if tag is None else {"tag": tag, "text": text}))
+        else:
+            lines.append(rng.choice(['{"tag": "p", "text": "  "}', '{"tag": "li"}', '{"tag": "p", "text": 5}',
+                                     "[1]", "{", "", '{"text": "\\u2028"}']))
+    return lines
+
+
+def _run_cli(cwd: Path, *argv: str) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    return subprocess.run([sys.executable, "-m", "condlogic.cli", *argv], cwd=cwd, env=env, capture_output=True,
+                          timeout=120)
+
+
+def _digests(result: subprocess.CompletedProcess, out: Path) -> dict[str, str]:
+    return {name: hashlib.sha256(data).hexdigest()
+            for name, data in (("out", out.read_bytes()), ("stdout", result.stdout), ("stderr", result.stderr))}
+
+
+SOLVE_DIGESTS = {
+    "out": "cab071591b64e9c398962de89679be284876c62c702719585f1814cb79185f44",
+    "stdout": "2543b837060e03c976f5caaeeba0e2e1b2eecbfe8a8dc2fc7e31513ccebbb9ed",
+    "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+}
+PARSE_CONTEXT_DIGESTS = {
+    "out": "9f8a375d081cb6329bf3a709974308dfbd23469cd1eb3edfd445039a5484f756",
+    "stdout": "8d9e36396c6c45888d0824c079d17c3ee2604dbd8e0e07dbc37a98df194e841f",
+    "stderr": "cc5376d232bfbb09fc76b88c8dff1d853ba0299e021ebbda0cad97b975d85093",
+}
+
+
+def test_solve_golden_digests(tmp_path):
+    records = _golden_templates(random.Random(2027), 2000)
+    (tmp_path / "templates.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    result = _run_cli(tmp_path, "solve", "--file", "templates.jsonl", "--out", "verdicts.jsonl")
+    assert result.returncode == 0, result.stderr
+    assert _digests(result, tmp_path / "verdicts.jsonl") == SOLVE_DIGESTS
+
+
+def test_parse_context_golden_digests(tmp_path):
+    lines = _golden_page(random.Random(2027), 5000)
+    (tmp_path / "page.jsonl").write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    result = _run_cli(tmp_path, "parse-context", "--in", "page.jsonl", "--out", "groups.jsonl", "--stats")
+    assert result.returncode == 0, result.stderr
+    assert _digests(result, tmp_path / "groups.jsonl") == PARSE_CONTEXT_DIGESTS
 
 
 # --- evaluate ---------------------------------------------------------------------

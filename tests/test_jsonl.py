@@ -176,6 +176,52 @@ def test_jsonl_writer_writes_the_bytes_of_write_jsonl(tmp_path):
     assert "文字".encode("utf-8") in (tmp_path / "rows.jsonl").read_bytes()
 
 
+# Text with non-ASCII, control characters, quotes, backslashes and lone surrogates.
+_encodable_texts = st.text(
+    st.characters(exclude_categories=()) | st.sampled_from('"\\\x00\x1f\x7f\u2028\ud800\udfff\U0001f600')
+)
+_encodable_floats = st.floats() | st.sampled_from([-0.0, 1e308, -1e308, 5e-324, float("nan"), float("inf")])
+# json.dumps writes a key that is a number, a bool or None as its text.
+_encodable_keys = _encodable_texts | st.integers() | st.booleans() | st.none() | _encodable_floats
+_encodable_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-(2**100), 2**100) | _encodable_floats | _encodable_texts,
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(_encodable_keys, children, max_size=4),
+    max_leaves=20,
+)
+
+
+@given(st.dictionaries(_encodable_keys, _encodable_values, max_size=6))
+def test_encode_line_is_json_dumps(record):
+    assert encode_line(record) == json.dumps(record, ensure_ascii=False) + "\n"
+
+
+class _Opaque:
+    pass
+
+
+@pytest.mark.parametrize("bad", [{1, 2}, _Opaque(), b"bytes", 1j])
+def test_encode_line_refuses_what_json_dumps_refuses(bad):
+    # Deep inside the record, and twice over, so a refusal leaves nothing behind that changes the next encode.
+    record = {"a": [1, {"b": [bad]}], "c": 2}
+    with pytest.raises(TypeError) as expected:
+        json.dumps(record, ensure_ascii=False)
+    for _ in range(2):
+        with pytest.raises(TypeError) as got:
+            encode_line(record)
+        assert str(got.value) == str(expected.value)
+    assert encode_line({"a": record["a"][:1]}) == '{"a": [1]}\n'
+
+
+def test_encode_line_refuses_a_circular_record():
+    record = {"a": []}
+    record["a"].append(record)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="^Circular reference detected$"):
+            encode_line(record)
+    record["a"].clear()
+    assert encode_line(record) == '{"a": []}\n'
+
+
 def test_jsonl_writer_without_a_path_creates_no_file(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     with jsonl_writer(None) as write:

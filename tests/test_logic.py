@@ -230,16 +230,22 @@ def test_optional_group_never_unsatisfied():
 
 # --- property tests --------------------------------------------------------
 
-states_strategy = st.lists(st.sampled_from((E, C, N)), min_size=1, max_size=6)
+# Up to 20 conditions, as many as a generated or benchmark template's group holds.
+states_strategy = st.lists(st.sampled_from((E, C, N)), min_size=1, max_size=20)
 gated_types = st.sampled_from((LogicalType.ALL, LogicalType.ANY))
 all_types = st.sampled_from((LogicalType.ALL, LogicalType.ANY, LogicalType.OPTIONAL))
+# Every group evaluate_group can decide: a required group holds exactly one condition.
+typed_states = st.tuples(all_types, states_strategy) | st.tuples(
+    st.just(LogicalType.REQUIRED), st.lists(st.sampled_from((E, C, N)), min_size=1, max_size=1)
+)
 
 
-@given(all_types, states_strategy)
-def test_fast_path_matches_reference(logical_type, states):
-    assert evaluate_group(make_group(logical_type, states)) == reference_evaluate(
-        logical_type, states
-    )
+@given(typed_states)
+def test_fast_path_matches_reference(typed):
+    logical_type, states = typed
+    status, labels = evaluate_group(make_group(logical_type, states))
+    assert (status, labels) == reference_evaluate(logical_type, states)
+    assert type(labels) is tuple
 
 
 @given(all_types, states_strategy)

@@ -7,6 +7,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from condlogic import (
+    Condition,
+    ConditionGroup,
+    FactRelation,
     GenConfig,
     InvariantError,
     LogicalType,
@@ -20,6 +23,7 @@ from condlogic import (
     derive_answer,
     parse_template_dsl,
     render_template_dsl,
+    resolve_state,
     solve_template,
     template_groups,
     validate_template,
@@ -424,6 +428,54 @@ def generated_templates(draw):
 @given(generated_templates())
 def test_asked_group_solver_matches_all_groups(t):
     assert _solve_valid(t) == derive_answer(*template_groups(t), TaskProfile.CONDNLI)
+
+
+# --- the shared references and conditions --------------------------------------
+
+def _letters(n: int, k: int = 4) -> str:
+    return "".join("ABCDEFGHIJKLMNOPQRSTUVWXYZ"[n // 26**i % 26] for i in range(k))
+
+
+def test_shared_values_stay_bounded_and_equal_fresh_ones():
+    # Every other template spells all its references anew: long names, whitespace after "not".
+    # The rest reuse A..F with any negation and fact, so shared conditions meet every fact relation.
+    rng = random.Random(5)
+    largest = {"refs": 0, "conditions": 0}
+    spellings = set()
+    for i in range(5000):
+        if i % 2:
+            names = [_letters(i * 8 + j) for j in range(rng.randint(1, 4))]
+        else:
+            names = rng.sample("ABCDEF", rng.randint(1, 4))
+        negated = {name: rng.random() < 0.5 for name in names}
+        facts = {name: rng.random() < 0.5 for name in rng.sample(names, rng.randint(1, len(names)))}
+
+        def spell(name, neg):
+            return f"not{' ' * rng.randint(1, 3)}{name}" if neg else name
+
+        conditions = [spell(name, negated[name]) for name in names]
+        fact_items = [spell(name.lower(), neg) for name, neg in facts.items()]
+        spellings.update(conditions, fact_items)
+        conditions, fact_text = ", ".join(conditions), ", ".join(fact_items)
+        t = parse_template_dsl(f"If all ({conditions}), then U.\nFacts: {fact_text}.\nQuestion: Is u correct?")
+        groups, relevant = template_groups(t)
+        largest["refs"] = max(largest["refs"], len(templates_module._REFS))
+        largest["conditions"] = max(largest["conditions"], len(templates_module._CONDITIONS))
+        assert max(largest.values()) <= templates_module._MEMO_SIZE
+
+        fresh_refs = [VarRef(name, negated[name]) for name in names]
+        assert t == Template([TemplateGroup(LogicalType.ALL, fresh_refs, "U")],
+                             [VarRef(name, neg) for name, neg in facts.items()], "u", "entailed")
+        relation = {name: FactRelation.CONTRADICTS if neg else FactRelation.SUPPORTS for name, neg in facts.items()}
+        fresh_conditions = [
+            Condition(ref.var, f"not {ref.var}" if ref.negated else ref.var, ref.negated,
+                      resolve_state(ref.negated, relation.get(ref.var)))
+            for ref in fresh_refs
+        ]
+        assert (groups, relevant) == ([ConditionGroup("U", "U", LogicalType.ALL, fresh_conditions, "entailed")], 0)
+    # Many more spellings than the bound were parsed.
+    assert len(spellings) > 4 * templates_module._MEMO_SIZE
+    assert min(largest.values()) > templates_module._MEMO_SIZE // 2
 
 
 # --- differential check against the first parser ---------------------------
