@@ -18,11 +18,11 @@ from contextlib import closing, nullcontext
 from itertools import chain, islice
 from pathlib import Path
 
-from .contexts import group_elements, group_to_dict, load_html_elements
+from .contexts import _group_lines, load_html_elements
 from .errors import ParseError, ToolkitError
 from .jsonl import (
-    JsonlReader, _refuse_to_overwrite, jsonl_writer, optional_field, require_fields, str_field, string_body,
-    undecodable,
+    JsonlReader, _refuse_to_overwrite, jsonl_writer, line_writer, optional_field, require_fields, str_field,
+    string_body, undecodable,
 )
 from .logic import LogicalType, TaskProfile, enumerate_assignments
 from .metrics import evaluate_files, format_report
@@ -174,16 +174,25 @@ def cmd_solve(args) -> int:
                 templates = [(None, parse_template_dsl(text))]
             except ParseError as exc:
                 raise ToolkitError(f"{source}: {exc}") from None
-        with jsonl_writer(args.out or None) as write:  # an empty --out writes nothing, as no --out
-            # The parser has checked each template's rules.
-            for template_id, template in templates:
-                verdict = _solve_valid(template)
-                # Most verdicts have no condition to check, so need no ids.
-                ids = condition_ids(template) if verdict.unsatisfied else {}
-                unsatisfied = _sorted_ids(ids[v] for v in verdict.unsatisfied)
-                line = f"{verdict.label}, if {', '.join(unsatisfied)}" if unsatisfied else verdict.label
-                print(f"{template_id}: {line}" if template_id else line)
-                write({"template_id": template_id, "answer_label": verdict.label, "unsatisfied": unsatisfied})
+        # Verdict lines are printed 64 at a time: with unbuffered output each print is a write call.
+        batch = []
+        try:
+            with jsonl_writer(args.out or None) as write:  # an empty --out writes nothing, as no --out
+                # The parser has checked each template's rules.
+                for template_id, template in templates:
+                    verdict = _solve_valid(template)
+                    # Most verdicts have no condition to check, so need no ids.
+                    ids = condition_ids(template) if verdict.unsatisfied else {}
+                    unsatisfied = _sorted_ids(ids[v] for v in verdict.unsatisfied)
+                    line = f"{verdict.label}, if {', '.join(unsatisfied)}" if unsatisfied else verdict.label
+                    batch.append(f"{template_id}: {line}\n" if template_id else f"{line}\n")
+                    if len(batch) == 64:
+                        print("".join(batch), end="")
+                        batch.clear()
+                    write({"template_id": template_id, "answer_label": verdict.label, "unsatisfied": unsatisfied})
+        finally:
+            # A fault still leaves every verdict solved before it on stdout.
+            print("".join(batch), end="")
     return 0
 
 
@@ -196,10 +205,10 @@ def cmd_parse_context(args) -> int:
         if first is None:
             raise ToolkitError(f"no usable elements in {args.infile}")
         _refuse_to_overwrite(args.out, (args.infile,), "groups")
-        with jsonl_writer(args.out) as write:
-            for group in group_elements(chain((first,), elements), depths):
-                sizes[len(group.conditions)] += 1
-                write(group_to_dict(group))
+        with line_writer(args.out) as write:
+            for size, line in _group_lines(chain((first,), elements), depths):
+                sizes[size] += 1
+                write(line)
     print(f"{sum(sizes.values())} group(s), {sum(size * n for size, n in sizes.items())} condition(s)")
 
     if args.stats:

@@ -16,6 +16,11 @@ reopens, and the element after a node either becomes its first child or
 closes it, so each group is complete, and emitted, as soon as the
 element that ends it has been read. Memory grows with the nesting depth
 and the longest run of sibling leaves, not with the page.
+
+The walk yields texts. :func:`group_elements` builds groups from them;
+``parse-context`` builds none, and fills each group's texts into the
+line skeleton of its size, cut once from a probe record of
+:func:`group_to_dict`, the one group serialiser.
 """
 
 from __future__ import annotations
@@ -23,9 +28,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import count
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
-from .jsonl import JsonlReader, str_field
+from .jsonl import JsonlReader, line_skeleton, str_field, string_body
 from .logic import Condition, ConditionGroup, LogicalType
 
 HEADING_TAGS = ("h1", "h2", "h3", "h4")
@@ -95,31 +100,17 @@ def _closes(top: _Frame, tag: str, level: int | None) -> bool:
     return top.level is None
 
 
-def group_elements(elements: Iterable[HtmlElement], leaf_depths: Counter | None = None) -> Iterator[ConditionGroup]:
-    """Yield the condition groups of an element stream as each one completes, in document order.
-
-    Each element becomes a child of the nearest open element it does not
-    close (see :func:`_closes`). Groups are numbered ``R0, R1, ...`` and
-    conditions ``C0, C1, ...`` across the whole stream. When
-    ``leaf_depths`` is given, it counts each leaf at its depth (1 at the
-    top level).
-    """
+def _groups(elements: Iterable[HtmlElement], leaf_depths: Counter | None) -> Iterator[tuple[str, list[str]]]:
+    """Yield ``(result_text, condition_texts)`` for each group of an element stream as it
+    completes, in document order."""
     # The open elements under a synthetic root, which is never closed.
     stack = [_Frame(None, None, "")]
-    group_numbers, leaf_numbers = count(), count()
 
-    def group(texts: list[str], path: list[_Frame]) -> ConditionGroup:
+    def group(texts: list[str], path: list[_Frame]) -> tuple[str, list[str]]:
         # ``path`` runs from the top level down to the leaves' parent.
-        # Built positionally, from lists: a keyword call costs more, and a tuple made from a
-        # list has its size at once and is not resized.
-        return ConditionGroup(
-            f"R{next(group_numbers)}",
-            RESULT_SEPARATOR.join([frame.text for frame in reversed(path)]),
-            LogicalType.UNKNOWN,
-            [Condition(f"C{next(leaf_numbers)}", text) for text in texts],
-        )
+        return RESULT_SEPARATOR.join([frame.text for frame in reversed(path)]), texts
 
-    def close() -> ConditionGroup | None:
+    def close() -> tuple[str, list[str]] | None:
         """Close the top element; return the group that this completes, if any."""
         frame = stack.pop()
         if frame.has_children:
@@ -128,7 +119,7 @@ def group_elements(elements: Iterable[HtmlElement], leaf_depths: Counter | None 
             leaf_depths[len(stack)] += 1
         if len(stack) == 1:
             # Leaves directly under the synthetic root stand alone.
-            return group([frame.text], [])
+            return "", [frame.text]
         stack[-1].run.append(frame.text)
         return None
 
@@ -148,6 +139,53 @@ def group_elements(elements: Iterable[HtmlElement], leaf_depths: Counter | None 
     while len(stack) > 1:
         if done := close():
             yield done
+
+
+def group_elements(elements: Iterable[HtmlElement], leaf_depths: Counter | None = None) -> Iterator[ConditionGroup]:
+    """Yield the condition groups of an element stream as each one completes, in document order.
+
+    Each element becomes a child of the nearest open element it does not
+    close (see :func:`_closes`). Groups are numbered ``R0, R1, ...`` and
+    conditions ``C0, C1, ...`` across the whole stream. When
+    ``leaf_depths`` is given, it counts each leaf at its depth (1 at the
+    top level).
+    """
+    leaf_numbers = count()
+    for number, (result_text, texts) in enumerate(_groups(elements, leaf_depths)):
+        # Built positionally, from lists: a keyword call costs more, and a tuple made from a
+        # list has its size at once and is not resized.
+        conditions = [Condition(f"C{next(leaf_numbers)}", text) for text in texts]
+        yield ConditionGroup(f"R{number}", result_text, LogicalType.UNKNOWN, conditions)
+
+
+#: The probe group's number: no group number of a page can equal it.
+_NUMBER_HOLE = 2**64
+
+
+def _skeleton(size: int) -> Callable[[int, Sequence[str]], str]:
+    """``fill(number, bodies)``: the line of group ``R<number>`` of ``size`` conditions, whose
+    ``bodies`` are the string bodies of its result, then of each condition's id and text. The
+    braces keep hole ``1`` from being part of hole ``10``."""
+    holes = [f"\ue000{{{i}}}" for i in range(2 * size + 1)]
+    conditions = [Condition(holes[i], holes[i + 1]) for i in range(1, 2 * size, 2)]
+    probe = ConditionGroup(f"R{_NUMBER_HOLE}", holes[0], LogicalType.UNKNOWN, conditions)
+    return line_skeleton(group_to_dict(probe), _NUMBER_HOLE, holes)
+
+
+def _group_lines(elements: Iterable[HtmlElement], leaf_depths: Counter | None) -> Iterator[tuple[int, str]]:
+    """Yield ``(size, encode_line(group_to_dict(group)))`` for each group :func:`group_elements`
+    yields, without building it. A skeleton is made once per group size, and the longest run
+    of sibling leaves, not the page, bounds the sizes."""
+    skeletons: dict[int, Callable[[int, Sequence[str]], str]] = {}
+    leaf = 0
+    for number, (result_text, texts) in enumerate(_groups(elements, leaf_depths)):
+        size = len(texts)
+        fill = skeletons.get(size) or skeletons.setdefault(size, _skeleton(size))
+        bodies = [string_body(result_text)]
+        for text in texts:
+            bodies += f"C{leaf}", string_body(text)
+            leaf += 1
+        yield size, fill(number, bodies)
 
 
 def group_to_dict(group: ConditionGroup) -> dict:

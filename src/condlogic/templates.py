@@ -88,6 +88,10 @@ class Template:
         object.__setattr__(self, "facts", tuple(self.facts))
 
 
+#: The logical types a template group may have.
+_TEMPLATE_TYPES = (LogicalType.ALL, LogicalType.ANY)
+
+
 def _first_fault(t: Template) -> tuple[str, str, int] | None:
     """Return the first template rule ``t`` breaks, or ``None``.
 
@@ -101,7 +105,7 @@ def _first_fault(t: Template) -> tuple[str, str, int] | None:
         return "template has no groups", "premise", 0
     cond_vars: set[str] = set()
     for gi, g in enumerate(t.groups):
-        if g.logical_type not in (LogicalType.ALL, LogicalType.ANY):
+        if g.logical_type not in _TEMPLATE_TYPES:
             return f"template groups use all/any, got {g.logical_type.value!r}", "premise", gi
         if not g.conditions:
             return f"group {g.consequent!r} has no conditions", "premise", gi

@@ -16,21 +16,27 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import condlogic.contexts as contexts_module
 import condlogic.dataset_io as dataset_io_module
 import condlogic.generate as generate_module
 import condlogic.metrics as metrics_module
 from condlogic import (
     KNOWN_TAGS,
+    ConditionGroup,
     GenConfig,
     ParseError,
     cli,
     example_to_dict,
     generate_dataset,
+    group_elements,
+    load_html_elements,
     load_nli_bank,
     parse_template_dsl,
     template_groups,
     templates,
 )
+from condlogic.contexts import group_to_dict
+from condlogic.jsonl import encode_line
 from conftest import REFERENCE_TEMPLATE
 
 
@@ -291,9 +297,10 @@ def test_solve_same_bytes_on_every_python(tmp_path, minor):
     assert result.stderr == f"error: {bad}:2: line 4, column 11: unknown variable 'b' in facts\n"
 
 
-@pytest.mark.parametrize("bad_line", [1, 3, 5])
+# Verdicts are printed in batches of 64: lines 65 and 150 fault after one and after two whole batches.
+@pytest.mark.parametrize("bad_line", [1, 3, 5, 65, 150])
 def test_solve_fault_leaves_verdicts_solved_before_it(tmp_path, capsys, bad_line):
-    records = [json.dumps({**_PORTABLE_TEMPLATES[i % 3], "template_id": f"T{i:03d}"}) for i in range(6)]
+    records = [json.dumps({**_PORTABLE_TEMPLATES[i % 3], "template_id": f"T{i:03d}"}) for i in range(200)]
     good, bad = tmp_path / "good.jsonl", tmp_path / "bad.jsonl"
     good.write_text("".join(r + "\n" for r in records), encoding="utf-8")
     # An object, so that on line 1 too the file reads as templates.jsonl.
@@ -309,6 +316,20 @@ def test_solve_fault_leaves_verdicts_solved_before_it(tmp_path, capsys, bad_line
     assert out == "".join(all_out.splitlines(keepends=True)[: bad_line - 1])
     expected = all_rows.read_text(encoding="utf-8").splitlines(keepends=True)[: bad_line - 1]
     assert rows.read_text(encoding="utf-8") == "".join(expected)
+
+
+def test_solve_without_stdout_still_writes_out(tmp_path, capsys):
+    # Python sets sys.stdout to None when file descriptor 1 is closed; print then writes nothing.
+    path = tmp_path / "templates.jsonl"
+    path.write_text("".join(json.dumps({**_PORTABLE_TEMPLATES[i % 3], "template_id": f"T{i:03d}"}) + "\n"
+                            for i in range(150)), encoding="utf-8")
+    printed, unprinted = tmp_path / "printed.jsonl", tmp_path / "unprinted.jsonl"
+    code, out, _ = run(capsys, "solve", "--file", str(path), "--out", str(printed))
+    assert code == 0 and out.count("\n") == 150
+    with mock.patch.object(sys, "stdout", None):
+        code = cli.main(["solve", "--file", str(path), "--out", str(unprinted)])
+    assert code == 0
+    assert unprinted.read_bytes() == printed.read_bytes()
 
 
 @pytest.mark.parametrize("spelling", ["same", "dotdot"])
@@ -649,6 +670,24 @@ def test_parse_context_out_may_not_name_the_input(tmp_path, capsys, spelling):
     assert out == ""
     assert err == f"error: groups would overwrite the input file {str(page)!r}\n"
     assert page.read_bytes() == before
+
+
+def test_parse_context_builds_no_group_per_line(tmp_path, capsys):
+    # Runs of 1 to 30 list items, each size twice: one probe group and record per size, none per line.
+    page = tmp_path / "page.jsonl"
+    sizes = [*range(1, 31), *range(30, 0, -1)]
+    page.write_text("".join(json.dumps({"tag": tag, "text": text}) + "\n" for k in sizes
+                            for tag, text in [("p", f"Lead {k}:"), *[("li", f"item {i}") for i in range(k)]]),
+                    encoding="utf-8")
+    out_path = tmp_path / "groups.jsonl"
+    with mock.patch.object(contexts_module, "ConditionGroup", wraps=ConditionGroup) as groups, \
+            mock.patch.object(contexts_module, "group_to_dict", wraps=group_to_dict) as dicts:
+        code, out, err = run(capsys, "parse-context", "--in", str(page), "--out", str(out_path))
+    assert code == 0, err
+    assert out == f"60 group(s), {sum(sizes)} condition(s)\n"
+    assert groups.call_count == dicts.call_count == 30
+    expected = [encode_line(group_to_dict(g)) for g in group_elements(load_html_elements(page))]
+    assert out_path.read_text(encoding="utf-8").splitlines(keepends=True) == expected
 
 
 def test_parse_context_memory_does_not_grow_with_the_page(tmp_path):

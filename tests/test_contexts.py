@@ -5,11 +5,14 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import count, groupby
 from typing import Iterator
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import condlogic.contexts as contexts_module
 from condlogic import (
+    HEADING_TAGS,
     Condition,
     ConditionGroup,
     HtmlElement,
@@ -18,7 +21,8 @@ from condlogic import (
     group_elements,
     load_html_elements,
 )
-from condlogic.contexts import RESULT_SEPARATOR, _heading_level
+from condlogic.contexts import RESULT_SEPARATOR, _group_lines, _heading_level, group_to_dict
+from condlogic.jsonl import encode_line
 
 
 # --- the tree oracle ------------------------------------------------------------
@@ -348,3 +352,43 @@ def test_one_pass_matches_tree_oracle(tags):
     depths: Counter = Counter()
     assert list(group_elements(elements, depths)) == list(_tree_groups(root))
     assert depths == _tree_leaf_depths(root)
+
+
+# --- the lines parse-context writes ----------------------------------------------
+
+# Texts a JSON encoder must escape, non-BMP ones, and ones that look like a skeleton's holes.
+_hostile_texts = st.text(min_size=1, max_size=6) | st.sampled_from(
+    ['"', "\\", "\x00", "\x1f", 'a"\\\x00\x1fb\r\n', "\u2028", "\U0001f600", "\ue000{0}", "\ue000{1}",
+     "18446744073709551616", "R18446744073709551616"]
+)
+_hostile_elements = st.builds(HtmlElement, st.sampled_from([*KNOWN_TAGS, "li", "li"]), _hostile_texts)
+
+
+def assert_lines_are_encoded_groups(elements):
+    line_depths, group_depths = Counter(), Counter()
+    pairs = list(_group_lines(elements, line_depths))
+    groups = list(group_elements(elements, group_depths))
+    assert [line for _, line in pairs] == [encode_line(group_to_dict(g)) for g in groups]
+    assert [size for size, _ in pairs] == [len(g.conditions) for g in groups]
+    assert line_depths == group_depths
+
+
+@settings(max_examples=300)
+@given(st.lists(_hostile_elements, max_size=60))
+def test_group_lines_are_the_encoded_groups(elements):
+    assert_lines_are_encoded_groups(elements)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.integers(1, 40), min_size=21, max_size=30, unique=True), st.randoms(use_true_random=False),
+       st.lists(_hostile_texts, min_size=1, max_size=5))
+def test_group_lines_make_one_skeleton_per_group_size(sizes, rng, texts):
+    # Each section's run of list items is one group; every size occurs twice, so each skeleton is reused.
+    sizes = sizes + rng.sample(sizes, len(sizes))
+    elements = []
+    for k in sizes:
+        elements.append(HtmlElement(rng.choice(HEADING_TAGS + ("p",)), rng.choice(texts)))
+        elements.extend(HtmlElement("li", rng.choice(texts)) for _ in range(k))
+    with mock.patch.object(contexts_module, "_skeleton", wraps=contexts_module._skeleton) as skeletons:
+        assert_lines_are_encoded_groups(elements)
+    assert skeletons.call_count == len(set(sizes))
