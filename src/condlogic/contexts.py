@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from itertools import count
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .jsonl import JsonlReader, line_skeleton, str_field, string_body
+from .jsonl import JsonlReader, _NUMBER_HOLE, _text_holes, line_skeleton, str_field, string_body
 from .logic import Condition, ConditionGroup, LogicalType
 
 HEADING_TAGS = ("h1", "h2", "h3", "h4")
@@ -158,15 +158,10 @@ def group_elements(elements: Iterable[HtmlElement], leaf_depths: Counter | None 
         yield ConditionGroup(f"R{number}", result_text, LogicalType.UNKNOWN, conditions)
 
 
-#: The probe group's number: no group number of a page can equal it.
-_NUMBER_HOLE = 2**64
-
-
 def _skeleton(size: int) -> Callable[[int, Sequence[str]], str]:
     """``fill(number, bodies)``: the line of group ``R<number>`` of ``size`` conditions, whose
-    ``bodies`` are the string bodies of its result, then of each condition's id and text. The
-    braces keep hole ``1`` from being part of hole ``10``."""
-    holes = [f"\ue000{{{i}}}" for i in range(2 * size + 1)]
+    ``bodies`` are the string bodies of its result, then of each condition's id and text."""
+    holes = _text_holes(2 * size + 1)
     conditions = [Condition(holes[i], holes[i + 1]) for i in range(1, 2 * size, 2)]
     probe = ConditionGroup(f"R{_NUMBER_HOLE}", holes[0], LogicalType.UNKNOWN, conditions)
     return line_skeleton(group_to_dict(probe), _NUMBER_HOLE, holes)

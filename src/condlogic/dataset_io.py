@@ -20,8 +20,8 @@ from . import __version__
 from .contexts import group_to_dict
 from .generate import Example, TemplatePlan, _example
 from .jsonl import (
-    JsonlReader, encode_line, int_field, jsonl_writer, line_skeleton, line_writer, require_fields, str_field,
-    str_list_field,
+    JsonlReader, _NUMBER_HOLE, _text_holes, encode_line, int_field, jsonl_writer, line_skeleton, line_writer,
+    require_fields, str_field, str_list_field,
 )
 from .logic import Condition, ConditionGroup, LogicalType, TaskProfile, Verdict
 from .templates import _sorted_ids
@@ -69,10 +69,6 @@ def example_to_dict(example: Example) -> dict:
     }
 
 
-#: The probe example's seed: no 64-bit example seed can equal it.
-_SEED_HOLE = 2**64
-
-
 def plan_line(plan: TemplatePlan) -> Callable[[int, Sequence[str]], str]:
     """``line(example_seed, bodies)``: the line :func:`write_split` writes for the example of
     ``plan`` with that seed and the texts ``generate._texts`` places, made without the example;
@@ -80,10 +76,10 @@ def plan_line(plan: TemplatePlan) -> Callable[[int, Sequence[str]], str]:
 
     The layout is :func:`example_to_dict`'s: the line is that of one probe example whose seed
     and texts are placeholders, filled by :func:`jsonl.line_skeleton`. A ``Ck: `` prefix stays
-    in the line; the braces keep hole ``1`` from being part of hole ``10``.
+    in the line.
     """
-    holes = [f"\ue000{{{i}}}" for i in range(len(plan.prefixes) + len(plan.hypotheses))]
-    return line_skeleton(example_to_dict(_example(plan, _SEED_HOLE, holes)), _SEED_HOLE, holes)
+    holes = _text_holes(len(plan.prefixes) + len(plan.hypotheses))
+    return line_skeleton(example_to_dict(_example(plan, _NUMBER_HOLE, holes)), _NUMBER_HOLE, holes)
 
 
 def example_from_dict(raw: dict) -> Example:

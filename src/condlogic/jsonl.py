@@ -200,6 +200,15 @@ def string_body(text: str) -> str:
     return encode_basestring(text)[1:-1] if _NEEDS_ESCAPE.search(text) else text
 
 
+#: The number hole of a :func:`line_skeleton` probe record: no 64-bit seed or group number equals it.
+_NUMBER_HOLE = 2**64
+
+
+def _text_holes(count: int) -> list[str]:
+    """``count`` text holes of a probe record; the braces keep hole ``1`` from being part of ``10``."""
+    return [f"\ue000{{{i}}}" for i in range(count)]
+
+
 def line_skeleton(record: dict, number_hole: int, text_holes: Sequence[str]) -> Callable[[int, Sequence[str]], str]:
     """``fill(number, bodies)``: the line :func:`encode_line` makes of ``record`` with
     ``number_hole`` replaced by ``number`` and each of ``text_holes``, a part of one of its

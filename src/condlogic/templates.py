@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .errors import InvariantError, ParseError
 from .logic import (
@@ -173,49 +174,27 @@ def _sorted_ids(ids) -> list[str]:
     return sorted(ids, key=lambda i: (len(i), i))
 
 
-#: The most entries :data:`_REFS` or :data:`_CONDITIONS` holds; a full memo is emptied and refilled.
-_MEMO_SIZE = 1024
-
-#: Shared resolved conditions, keyed by variable, negation and the negation of the fact on it
-#: (``None`` for no fact): plain values, whose hashes are computed in C, unlike a ``VarRef``'s.
-_CONDITIONS: dict[tuple[str, bool, bool | None], Condition] = {}
-
-
-def _memo_put(memo: dict, key, value):
-    """Store ``value`` under ``key`` in ``memo`` and return it, emptying ``memo`` first when it is full."""
-    if len(memo) >= _MEMO_SIZE:
-        memo.clear()
-    memo[key] = value
-    return value
-
-
-def _condition(key: tuple[str, bool, bool | None]) -> Condition:
-    """The shared :class:`Condition` of a ``(var, negated, fact_negated)`` key, built on a miss."""
-    var, negated, fact_negated = key
+@lru_cache(maxsize=1024)
+def _condition(var: str, negated: bool, fact_negated: bool | None) -> Condition:
+    """The shared :class:`Condition` of ``var`` under the fact on it (``fact_negated`` None for none)."""
     relation = None if fact_negated is None else FactRelation.CONTRADICTS if fact_negated else FactRelation.SUPPORTS
-    condition = Condition(var, f"not {var}" if negated else var, negated, resolve_state(negated, relation))
-    return _memo_put(_CONDITIONS, key, condition)
+    return Condition(var, f"not {var}" if negated else var, negated, resolve_state(negated, relation))
 
 
 def _resolve_groups(t: Template, groups) -> list[ConditionGroup]:
     """``groups`` of ``t`` as evaluable condition groups, their conditions resolved against its facts.
 
     A resolved condition is fixed by its variable, its negation and the fact on it, so equal
-    ones are one shared value from a bounded memo, not one build per occurrence.
+    ones are one shared value from :func:`_condition`'s cache, not one build per occurrence.
     """
     fact_negated = {f.var: f.negated for f in t.facts}.get
     intrinsic = None if t.target_relation == "irrelevant" else t.target_relation
-    resolved = []
-    for g in groups:
-        conditions = []
-        for ref in g.conditions:
-            key = (ref.var, ref.negated, fact_negated(ref.var))
-            conditions.append(_CONDITIONS.get(key) or _condition(key))
-        resolved.append(ConditionGroup(
-            g.consequent, g.consequent, g.logical_type, conditions,
-            intrinsic if g.consequent.lower() == t.question_var else None,
-        ))
-    return resolved
+    return [
+        ConditionGroup(g.consequent, g.consequent, g.logical_type,
+                       [_condition(ref.var, ref.negated, fact_negated(ref.var)) for ref in g.conditions],
+                       intrinsic if g.consequent.lower() == t.question_var else None)
+        for g in groups
+    ]
 
 
 def template_groups(t: Template) -> tuple[list[ConditionGroup], int | None]:
@@ -271,26 +250,22 @@ _TAIL_RE = re.compile(
     rf"\s*Facts\s*:\s*({_FACT}(?:\s*,\s*{_FACT})*)\s*\.\s*Question\s*:\s*Is\s+([a-z]+)\s+correct\s*\?"
     rf"(?:\s*Label\s*:\s*({_TOKEN})(?:\s*,\s*if\s+{_QUALIFIER}(?:\s*,\s*{_QUALIFIER})*)?)?\s*"
 )
-# The (prefix, name) of the reference in one item of a ref list either regex accepted.
-_REF_RE = re.compile(r"(not\s+)?([A-Za-z]+)")
-
-#: Shared references, keyed by the spelling of an item between the commas of a ref list.
-_REFS: dict[str, VarRef] = {}
 
 
+@lru_cache(maxsize=1024)
 def _ref(item: str) -> VarRef:
-    """The :class:`VarRef` an item of a ref list spells, built on a miss of :data:`_REFS`.
+    """The :class:`VarRef` an item of a ref list either regex accepted spells: ``[not<ws>]name``.
 
-    Memoised by spelling, whitespace included, in at most ``_MEMO_SIZE`` entries, so a run
-    builds a few dozen references, not one per occurrence, and keeps no more than the bound.
+    Cached by spelling, whitespace included, in a least-recently-used cache of 1024 entries,
+    so a run builds a few dozen references, not one per occurrence, and keeps no more than that.
     """
-    prefix, name = _REF_RE.search(item).groups()
-    return _memo_put(_REFS, item, VarRef(name.upper(), bool(prefix)))
+    *prefix, name = item.split()
+    return VarRef(name.upper(), bool(prefix))
 
 
 def _refs(items: str) -> list[VarRef]:
     """The references of a ref list either regex accepted: ``item ("," item)*``, so split on commas."""
-    return [_REFS.get(item) or _ref(item) for item in items.split(",")]
+    return [_ref(item) for item in items.split(",")]
 
 
 def _scan(text: str) -> tuple[list[str], list[tuple[int, int]]]:

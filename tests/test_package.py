@@ -2,6 +2,7 @@ import ast
 import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 import types
@@ -92,3 +93,15 @@ def test_every_private_module_name_is_used():
     }
     private = {name for name in defined if name.startswith("_") and not name.startswith("__")}
     assert private and sorted(private - read) == []
+
+
+def test_every_module_level_cache_is_bounded():
+    # The streaming commands keep their memory flat only while every cache has a bound.
+    caches = {}
+    for info in pkgutil.iter_modules(condlogic.__path__):
+        module = importlib.import_module(f"condlogic.{info.name}")
+        for name, value in vars(module).items():
+            if callable(getattr(value, "cache_parameters", None)) and value.__module__ == module.__name__:
+                caches[f"{info.name}.{name}"] = value.cache_parameters()["maxsize"]
+    assert {"generate.generate_templates", "templates._ref", "templates._condition"} <= set(caches)
+    assert {name: size for name, size in caches.items() if size is None} == {}

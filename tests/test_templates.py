@@ -153,6 +153,10 @@ _Q = "Question: Is u correct?"
             21,
             "expected condition id, found 'c1'",
         ),
+        # The walk passes a qualifier list of more than one id to reach a later fault.
+        ("If all (A, B), then U.\nFacts: a, a.\n" + _Q + "\nLabel: entailed, if A, B", 2, 11, "duplicate fact 'a'"),
+        ("If all (A), then U.\nFacts: a.\n" + _Q + "\nLabel: entailed, if A, b", 4, 24,
+         "expected condition id, found 'b'"),
     ],
 )
 def test_rule_fault_reported_at_token(text, line, col, message):
@@ -440,7 +444,11 @@ def test_shared_values_stay_bounded_and_equal_fresh_ones():
     # Every other template spells all its references anew: long names, whitespace after "not".
     # The rest reuse A..F with any negation and fact, so shared conditions meet every fact relation.
     rng = random.Random(5)
+    caches = {"refs": templates_module._ref, "conditions": templates_module._condition}
+    for cache in caches.values():
+        cache.cache_clear()
     largest = {"refs": 0, "conditions": 0}
+    maxsize = min(cache.cache_info().maxsize for cache in caches.values())
     spellings = set()
     for i in range(5000):
         if i % 2:
@@ -459,9 +467,10 @@ def test_shared_values_stay_bounded_and_equal_fresh_ones():
         conditions, fact_text = ", ".join(conditions), ", ".join(fact_items)
         t = parse_template_dsl(f"If all ({conditions}), then U.\nFacts: {fact_text}.\nQuestion: Is u correct?")
         groups, relevant = template_groups(t)
-        largest["refs"] = max(largest["refs"], len(templates_module._REFS))
-        largest["conditions"] = max(largest["conditions"], len(templates_module._CONDITIONS))
-        assert max(largest.values()) <= templates_module._MEMO_SIZE
+        for name, cache in caches.items():
+            info = cache.cache_info()
+            assert info.currsize <= info.maxsize
+            largest[name] = max(largest[name], info.currsize)
 
         fresh_refs = [VarRef(name, negated[name]) for name in names]
         assert t == Template([TemplateGroup(LogicalType.ALL, fresh_refs, "U")],
@@ -474,8 +483,8 @@ def test_shared_values_stay_bounded_and_equal_fresh_ones():
         ]
         assert (groups, relevant) == ([ConditionGroup("U", "U", LogicalType.ALL, fresh_conditions, "entailed")], 0)
     # Many more spellings than the bound were parsed.
-    assert len(spellings) > 4 * templates_module._MEMO_SIZE
-    assert min(largest.values()) > templates_module._MEMO_SIZE // 2
+    assert len(spellings) > 4 * maxsize
+    assert min(largest.values()) > maxsize // 2
 
 
 # --- differential check against the first parser ---------------------------
