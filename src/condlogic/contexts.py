@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from itertools import count
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .jsonl import JsonlReader, _NUMBER_HOLE, _text_holes, line_skeleton, str_field, string_body
+from .jsonl import JsonlReader, line_skeleton, str_field, string_body
 from .logic import Condition, ConditionGroup, LogicalType
 
 HEADING_TAGS = ("h1", "h2", "h3", "h4")
@@ -160,11 +160,13 @@ def group_elements(elements: Iterable[HtmlElement], leaf_depths: Counter | None 
 
 def _skeleton(size: int) -> Callable[[int, Sequence[str]], str]:
     """``fill(number, bodies)``: the line of group ``R<number>`` of ``size`` conditions, whose
-    ``bodies`` are the string bodies of its result, then of each condition's id and text."""
-    holes = _text_holes(2 * size + 1)
-    conditions = [Condition(holes[i], holes[i + 1]) for i in range(1, 2 * size, 2)]
-    probe = ConditionGroup(f"R{_NUMBER_HOLE}", holes[0], LogicalType.UNKNOWN, conditions)
-    return line_skeleton(group_to_dict(probe), _NUMBER_HOLE, holes)
+    ``bodies`` are the string bodies of its result, then of each condition's id and text.
+    :func:`jsonl.line_skeleton` cuts the line of a probe group whose number and texts are its holes."""
+    def probe(number: int, texts: list[str]) -> dict:
+        conditions = [Condition(cid, text) for cid, text in zip(texts[1::2], texts[2::2])]
+        return group_to_dict(ConditionGroup(f"R{number}", texts[0], LogicalType.UNKNOWN, conditions))
+
+    return line_skeleton(probe, 2 * size + 1)
 
 
 def _group_lines(elements: Iterable[HtmlElement], leaf_depths: Counter | None) -> Iterator[tuple[int, str]]:

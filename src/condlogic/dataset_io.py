@@ -20,7 +20,7 @@ from . import __version__
 from .contexts import group_to_dict
 from .generate import Example, TemplatePlan, _example
 from .jsonl import (
-    JsonlReader, _NUMBER_HOLE, _text_holes, encode_line, int_field, jsonl_writer, line_skeleton, line_writer,
+    JsonlReader, encode_line, int_field, jsonl_writer, line_skeleton, line_writer,
     require_fields, str_field, str_list_field,
 )
 from .logic import Condition, ConditionGroup, LogicalType, TaskProfile, Verdict
@@ -74,12 +74,13 @@ def plan_line(plan: TemplatePlan) -> Callable[[int, Sequence[str]], str]:
     ``plan`` with that seed and the texts ``generate._texts`` places, made without the example;
     ``bodies`` are those texts' :func:`jsonl.string_body`.
 
-    The layout is :func:`example_to_dict`'s: the line is that of one probe example whose seed
-    and texts are placeholders, filled by :func:`jsonl.line_skeleton`. A ``Ck: `` prefix stays
-    in the line.
+    The layout is :func:`example_to_dict`'s: :func:`jsonl.line_skeleton` cuts the line of the
+    probe example that ``_example`` makes of ``plan`` with its holes for the seed and the texts.
+    A ``Ck: `` prefix stays in the line.
     """
-    holes = _text_holes(len(plan.prefixes) + len(plan.hypotheses))
-    return line_skeleton(example_to_dict(_example(plan, _NUMBER_HOLE, holes)), _NUMBER_HOLE, holes)
+    return line_skeleton(
+        lambda seed, texts: example_to_dict(_example(plan, seed, texts)), len(plan.prefixes) + len(plan.hypotheses)
+    )
 
 
 def example_from_dict(raw: dict) -> Example:

@@ -200,32 +200,25 @@ def string_body(text: str) -> str:
     return encode_basestring(text)[1:-1] if _NEEDS_ESCAPE.search(text) else text
 
 
-#: The number hole of a :func:`line_skeleton` probe record: no 64-bit seed or group number equals it.
-_NUMBER_HOLE = 2**64
+def line_skeleton(probe: Callable[[int, list[str]], dict], count: int) -> Callable[[int, Sequence[str]], str]:
+    """``fill(number, bodies)``: the line :func:`encode_line` makes of the record
+    ``probe(number, texts)`` for ``count`` texts whose :func:`string_body` is at their position
+    in ``bodies``.
 
-
-def _text_holes(count: int) -> list[str]:
-    """``count`` text holes of a probe record; the braces keep hole ``1`` from being part of ``10``."""
-    return [f"\ue000{{{i}}}" for i in range(count)]
-
-
-def line_skeleton(record: dict, number_hole: int, text_holes: Sequence[str]) -> Callable[[int, Sequence[str]], str]:
-    """``fill(number, bodies)``: the line :func:`encode_line` makes of ``record`` with
-    ``number_hole`` replaced by ``number`` and each of ``text_holes``, a part of one of its
-    strings, replaced by the text whose :func:`string_body` is at its position in ``bodies``.
-
-    ``record`` is encoded once, and cut at the holes in order: the number first, then each
-    text hole's string body, inside its quotes, so the rest of that string (such as a
-    ``Ck: `` before the hole) stays in the line's pieces. A fill copies the pieces, with an
-    empty part left at each hole, slices the number and the bodies in and joins them; a caller
-    escapes the bodies once per text, not once per line.
-    Raises :class:`InvariantError` unless each hole occurs exactly once in the line, after
-    the holes before it; a hole name that is part of another's (``x1`` of ``x10``) occurs twice.
-    ``fill`` raises it unless ``bodies`` holds one body per text hole.
+    ``probe`` is called once, with holes: a number no 64-bit seed or group number equals, and
+    ``count`` texts that none of the others, nor the number, is part of. A hole may be a part of
+    a string (as in ``f"R{number}"`` or ``"Ck: " + text``). The probe's line is cut at the holes
+    in order: the number first, then each text hole's string body, inside its quotes, so the rest
+    of that string stays in the line's pieces. A fill copies the pieces, with an empty part left
+    at each hole, slices the number and the bodies in and joins them; a caller escapes the bodies
+    once per text, not once per line.
+    Raises :class:`InvariantError` unless each hole occurs exactly once in the probe's line, after
+    the holes before it. ``fill`` raises it unless ``bodies`` holds ``count`` bodies.
     """
-    line = encode_line(record)
+    number_hole, text_holes = 2**64, [f"\ue000{{{i}}}" for i in range(count)]
+    line = encode_line(probe(number_hole, text_holes))
     parts, rest = [], line
-    for hole in (str(number_hole), *map(string_body, text_holes)):
+    for hole in (str(number_hole), *text_holes):
         if line.count(hole) != 1:
             raise InvariantError(f"hole {hole!r} occurs {line.count(hole)} times in the record's line, expected once")
         piece, found, rest = rest.partition(hole)
@@ -240,7 +233,7 @@ def line_skeleton(record: dict, number_hole: int, text_holes: Sequence[str]) -> 
         try:
             filled[3::2] = bodies
         except ValueError:
-            raise InvariantError(f"expected {len(text_holes)} bodies, one per text hole, got {len(bodies)}") from None
+            raise InvariantError(f"expected {count} bodies, one per text hole, got {len(bodies)}") from None
         return "".join(filled)
 
     return fill

@@ -86,11 +86,21 @@ class TaskProfile(Enum):
         return _PROFILE_LABELS[self]
 
 
-_PROFILE_LABELS = {
-    TaskProfile.CONDNLI: frozenset({"entailed", "contradicted", "neutral", "irrelevant"}),
-    TaskProfile.YESNO: frozenset({"yes", "no", "irrelevant"}),
-    TaskProfile.SHARC: frozenset({"yes", "no", "inquire", "irrelevant"}),
+#: The answer of a satisfied group, by profile and intrinsic relation. A contradicted group
+#: answers as if its relation were neutral: its result cannot be invoked, so it says nothing
+#: about the question.
+_INTRINSIC_LABEL = {
+    TaskProfile.CONDNLI: {"entailed": "entailed", "contradicted": "contradicted", "neutral": "neutral"},
+    TaskProfile.YESNO: {"entailed": "yes", "contradicted": "no", "neutral": "irrelevant"},
+    TaskProfile.SHARC: {"entailed": "yes", "contradicted": "no", "neutral": "irrelevant"},
 }
+# Every label derive_answer can give: a mapped relation, "irrelevant" when no group is relevant,
+# and "inquire" for an undetermined group under sharc.
+_PROFILE_LABELS = {
+    profile: frozenset(answers.values()) | {"irrelevant"} | ({"inquire"} if profile is TaskProfile.SHARC else set())
+    for profile, answers in _INTRINSIC_LABEL.items()
+}
+
 
 @dataclass(frozen=True, slots=True)
 class Condition:
@@ -140,11 +150,7 @@ def resolve_state(negated: bool, fact_relation: FactRelation | None) -> Evidence
     return EvidenceState.ENTAILED if supported else EvidenceState.CONTRADICTED
 
 
-_RAW_LABEL = {
-    EvidenceState.ENTAILED: ConditionLabel.ENTAILED,
-    EvidenceState.CONTRADICTED: ConditionLabel.CONTRADICTED,
-    EvidenceState.NOT_MENTIONED: ConditionLabel.NOT_MENTIONED,
-}
+_RAW_LABEL = {s: ConditionLabel(s.value) for s in EvidenceState}
 # evaluate_group's label of each state in an undetermined all group, and in a satisfied or an
 # undetermined any group; the other outcomes label every state raw or all alike.
 _ALL_UNDETERMINED_LABEL = {
@@ -225,7 +231,7 @@ _REFERENCE_LABELS: dict[tuple[LogicalType, GroupStatus], dict[EvidenceState, Con
     (LogicalType.ALL, GroupStatus.SATISFIED): {
         EvidenceState.ENTAILED: ConditionLabel.ENTAILED,
     },
-    (LogicalType.ALL, GroupStatus.CONTRADICTED): dict(_RAW_LABEL),
+    (LogicalType.ALL, GroupStatus.CONTRADICTED): {s: ConditionLabel(s.value) for s in EvidenceState},
     (LogicalType.ALL, GroupStatus.UNDETERMINED): {
         EvidenceState.ENTAILED: ConditionLabel.ENTAILED,
         EvidenceState.NOT_MENTIONED: ConditionLabel.TO_CHECK,
@@ -263,7 +269,7 @@ def reference_evaluate(
     if not states:
         return GroupStatus.SATISFIED, ()
     if lt is LogicalType.OPTIONAL:
-        return GroupStatus.SATISFIED, tuple(_RAW_LABEL[s] for s in states)
+        return GroupStatus.SATISFIED, tuple(ConditionLabel(s.value) for s in states)
 
     counts = Counter(states)
     if lt is LogicalType.ALL:
@@ -284,7 +290,6 @@ def reference_evaluate(
     return status, tuple(rule[s] for s in states)
 
 
-_STATE_ORDER = (EvidenceState.ENTAILED, EvidenceState.CONTRADICTED, EvidenceState.NOT_MENTIONED)
 MAX_ENUMERATION_K = 12
 
 
@@ -304,23 +309,8 @@ def enumerate_assignments(
         raise InvariantError("required groups hold exactly one condition")
     return {
         assignment: reference_evaluate(logical_type, assignment)
-        for assignment in product(_STATE_ORDER, repeat=k)
+        for assignment in product(EvidenceState, repeat=k)
     }
-
-
-_INTRINSIC_LABEL = {
-    TaskProfile.CONDNLI: {"entailed": "entailed", "contradicted": "contradicted", "neutral": "neutral"},
-    TaskProfile.YESNO: {"entailed": "yes", "contradicted": "no", "neutral": "irrelevant"},
-    TaskProfile.SHARC: {"entailed": "yes", "contradicted": "no", "neutral": "irrelevant"},
-}
-
-#: Label when the relevant group's conditions are contradicted: the result
-#: cannot be invoked, so it says nothing about the question.
-_CONTRADICTED_GROUP_LABEL = {
-    TaskProfile.CONDNLI: "neutral",
-    TaskProfile.YESNO: "irrelevant",
-    TaskProfile.SHARC: "irrelevant",
-}
 
 
 def _mapped_intrinsic(group: ConditionGroup, profile: TaskProfile) -> str:
@@ -361,7 +351,7 @@ def derive_answer(
     status, labels = evaluate_group(group)
 
     if status is _GROUP_CONTRADICTED:
-        return Verdict(_CONTRADICTED_GROUP_LABEL[profile], frozenset())
+        return Verdict(_INTRINSIC_LABEL[profile]["neutral"], frozenset())
     if status is _SATISFIED:
         return Verdict(_mapped_intrinsic(group, profile), frozenset())
 

@@ -297,6 +297,20 @@ def test_answer_label_in_profile_space(logical_type, states, intrinsic, profile)
     assert bool(verdict.unsatisfied) == (status is UND)
 
 
+@pytest.mark.parametrize("profile", list(TaskProfile), ids=lambda profile: profile.value)
+def test_profile_labels_are_exactly_the_answers(profile):
+    # No relevant group, then every group of one to three conditions under every type, evidence
+    # assignment and intrinsic relation; a group without one answers only under sharc.
+    relations = ("entailed", "contradicted", "neutral", *((None,) if profile is TaskProfile.SHARC else ()))
+    answers = {derive_answer([], None, profile).label}
+    for logical_type, k in product((LogicalType.ALL, LogicalType.ANY, LogicalType.OPTIONAL), (1, 2, 3)):
+        for states, relation in product(product(EvidenceState, repeat=k), relations):
+            answers.add(derive_answer([make_group(logical_type, states, relation)], 0, profile).label)
+    for state, relation in product(EvidenceState, relations):
+        answers.add(derive_answer([make_group(LogicalType.REQUIRED, [state], relation)], 0, profile).label)
+    assert answers == profile.labels
+
+
 @given(st.sampled_from((LogicalType.ALL, LogicalType.ANY, LogicalType.OPTIONAL)), st.integers(1, 4))
 def test_enumeration_covers_all_assignments(logical_type, k):
     table = enumerate_assignments(logical_type, k)

@@ -3,6 +3,7 @@ import importlib
 import json
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 import types
@@ -93,6 +94,20 @@ def test_every_private_module_name_is_used():
     }
     private = {name for name in defined if name.startswith("_") and not name.startswith("__")}
     assert private and sorted(private - read) == []
+
+
+def test_no_module_imports_a_private_constant():
+    # A private constant (an _UPPER_CASE name) is one module's detail: a module that needs its
+    # value asks the code that owns it, so the constant can change without a second module knowing.
+    imported = sorted(
+        f"{path.stem} imports {alias.name}"
+        for path in Path(condlogic.__file__).parent.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if re.fullmatch(r"_[A-Z][A-Z0-9_]*", alias.name)
+    )
+    assert imported == []
 
 
 def test_every_module_level_cache_is_bounded():
