@@ -15,7 +15,7 @@ import logging
 import sys
 from collections import Counter
 from contextlib import closing, nullcontext
-from itertools import chain, islice
+from itertools import chain
 from pathlib import Path
 
 from .contexts import _group_lines, load_html_elements
@@ -51,7 +51,7 @@ class _Parser(argparse.ArgumentParser):
 def cmd_generate(args) -> int:
     # The generator stack is imported here, so the other commands never load it.
     from .dataset_io import SplitManifest, manifest_path, plan_line, write_split
-    from .generate import GenConfig, _draws, _texts, compile_template, config_hash, generate_templates, load_nli_bank
+    from .generate import GenConfig, _drawer, _texts, compile_template, config_hash, generate_templates, load_nli_bank
     from .templates import render_template_dsl
 
     if args.train < 0:
@@ -65,12 +65,12 @@ def cmd_generate(args) -> int:
     )
     bank = load_nli_bank(args.bank)
     out_dir = Path(args.out)
-    # Each split's name and the tag its random streams derive from.
-    splits = [("dev", "dev"), ("test", "test")]
+    # Each split's name, the tag its random streams derive from, and its size.
+    splits = [("dev", "dev", config.n_dev), ("test", "test", config.n_test)]
     if args.train:
-        splits.append(("train", "train-stream"))
+        splits.append(("train", "train-stream", args.train))
     templates_path = out_dir / "templates.jsonl"
-    paths = {name: out_dir / f"{name}.jsonl" for name, _ in splits}
+    paths = {name: out_dir / f"{name}.jsonl" for name, _, _ in splits}
     for path in (templates_path, *paths.values(), *map(manifest_path, paths.values())):
         _refuse_to_overwrite(path, (args.bank,), f"output {Path(path).name}")
     # Making the templates, their plans and lines, and the split streams checks the config
@@ -78,9 +78,7 @@ def cmd_generate(args) -> int:
     templates = generate_templates(config)
     plans = [compile_template(t) for t in templates]
     lines = {plan.template_id: plan_line(plan) for plan in plans}
-    streams = {name: _draws(config, bank, tag, plans) for name, tag in splits}
-    if args.train:
-        streams["train"] = islice(streams["train"], args.train)
+    streams = {name: map(_drawer(config, bank, tag, plans), range(size)) for name, tag, size in splits}
     out_dir.mkdir(parents=True, exist_ok=True)
     digest = config_hash(config)
 

@@ -195,7 +195,7 @@ def read_manifest(split_path) -> SplitManifest | None:
             return SplitManifest.from_dict(json.load(handle))
     except FileNotFoundError:
         return None
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
         logger.warning("%s: invalid manifest (%s: %s), ignoring", path, type(exc).__name__, exc)
         return None
 

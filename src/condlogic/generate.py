@@ -402,12 +402,13 @@ SPLITS = ("dev", "test", "train-stream")
 
 
 def _drawer(config: GenConfig, bank: NliBank, split: str, plans: list[TemplatePlan]):
-    """``draw(index)``: ``(plan, example_seed, picks)`` for the example at ``index`` of a split.
+    """``draw(index)``: ``(plan, example_seed, picks)`` for the example at ``index`` of a split, so
+    ``map(draw, range(n))`` is the split's first ``n`` examples.
 
     ``plans[Random(_derive_seed(config.seed, split, index, "pick")).randrange(len(plans))]``, then
     ``_draw`` under ``Random(_derive_seed(_derive_seed(config.seed, split), plan.template_id, index))``;
     each seed continues a hash prefix made here, and seeds one reused ``Random``; the pick is a
-    ``_draw`` too. Checks the bank.
+    ``_draw`` too. The bank is checked, for every label the plans draw, when this is called.
     """
     split_seed = _derive_seed(config.seed, split)
     table = [(plan, _seed_prefix(split_seed, plan.template_id), [bank.span(d) for d in plan.draws]) for plan in plans]
@@ -425,35 +426,23 @@ def _drawer(config: GenConfig, bank: NliBank, split: str, plans: list[TemplatePl
     return draw
 
 
-def _draws(
-    config: GenConfig, bank: NliBank, split: str, plans: list[TemplatePlan]
-) -> Iterator[tuple[TemplatePlan, int, list[int]]]:
-    """``(plan, example_seed, picks)`` per example of a split, as :func:`_drawer` makes them.
-
-    The split name and the bank (for every label the plans draw) are checked when this
-    is called, before any example is drawn: a fault raises here, not on the first ``next``.
-    """
-    if split not in SPLITS:
-        raise InvariantError(f"unknown split {split!r}, expected one of {SPLITS}")
-    length = {"dev": config.n_dev, "test": config.n_test}.get(split)
-    return map(_drawer(config, bank, split, plans), range(length) if length is not None else itertools.count())
-
-
 def generate_dataset(config: GenConfig, bank: NliBank, split: str) -> Iterator[Example]:
     """Yield examples for a split, choosing templates uniformly.
 
     ``dev`` and ``test`` emit exactly ``n_dev`` / ``n_test`` examples;
-    ``train-stream`` is unbounded. Split tags enter the seed derivation,
-    so splits draw from disjoint random streams. Each template is
-    validated and solved once per call; every example then only draws
-    bank records. The templates are made, and the split and the bank
-    checked, when this is called, before any example is drawn: a fault
-    raises here, not on the first ``next``.
+    ``train-stream`` is unbounded. The example at index ``i`` is the
+    :func:`_drawer` draw at ``i``, as in ``condlogic generate``'s splits.
+    Split tags enter the seed derivation, so splits draw from disjoint
+    random streams. Each template is validated and solved once per call;
+    every example then only draws bank records. The templates are made,
+    and the split and the bank checked, when this is called, before any
+    example is drawn: a fault raises here, not on the first ``next``.
     """
     plans = [compile_template(t) for t in generate_templates(config)]
+    if split not in SPLITS:
+        raise InvariantError(f"unknown split {split!r}, expected one of {SPLITS}")
+    size = {"dev": config.n_dev, "test": config.n_test}.get(split)
+    draws = map(_drawer(config, bank, split, plans), itertools.count() if size is None else range(size))
     premises = [record.premise for record in bank.records]
     hypotheses = [record.hypothesis for record in bank.records]
-    return (
-        _example(plan, seed, _texts(plan, picks, premises, hypotheses))
-        for plan, seed, picks in _draws(config, bank, split, plans)
-    )
+    return (_example(plan, seed, _texts(plan, picks, premises, hypotheses)) for plan, seed, picks in draws)

@@ -104,7 +104,7 @@ class JsonlReader:
                     return
                 try:
                     raw = _decode(line)
-                except json.JSONDecodeError as exc:
+                except (ValueError, RecursionError) as exc:  # bad syntax, too deep a nesting or too long an integer
                     self._fault(line_no, f"invalid JSON ({exc})")
                     continue
                 if not isinstance(raw, dict):

@@ -296,48 +296,6 @@ def _scan(text: str) -> tuple[list[str], list[tuple[int, int]]]:
     return tokens, positions
 
 
-def _unexpected(
-    tokens: list[str], positions: list[tuple[int, int]], index: int, what: str, lead: str = ""
-) -> ParseError:
-    """The token at ``index`` is not ``what``; at the end sentinel, the input ended early."""
-    if index == len(tokens) - 1:
-        return ParseError(f"unexpected end of input, expected {what}", *positions[index])
-    lead = lead or f"expected {what}, found"
-    return ParseError(f"{lead} {tokens[index]!r}", *positions[index])
-
-
-def _expect(tokens: list[str], positions: list[tuple[int, int]], i: int, words: list[str]) -> int:
-    """Return the index past ``words``, which must be the tokens from ``i`` on."""
-    for i, word in enumerate(words, start=i):
-        if tokens[i] != word:
-            raise _unexpected(tokens, positions, i, repr(word))
-    return i + 1
-
-
-def _var(tokens: list[str], positions: list[tuple[int, int]], i: int, upper: bool, what: str) -> None:
-    var = tokens[i]
-    if not (var.isalpha() and (var.isupper() if upper else var.islower())):
-        raise _unexpected(tokens, positions, i, what)
-
-
-def _var_list(
-    tokens: list[str], positions: list[tuple[int, int]], i: int, upper: bool, what: str
-) -> tuple[list[int], int]:
-    """Walk ``["not"] var ("," ["not"] var)*`` from ``i``.
-
-    Returns the token index of each variable and the index past the list.
-    """
-    at: list[int] = []
-    while True:
-        if tokens[i] == "not":
-            i += 1
-        _var(tokens, positions, i, upper, what)
-        at.append(i)
-        if tokens[i + 1] != ",":
-            return at, i + 1
-        i += 2
-
-
 def parse_template_dsl(text: str) -> Template:
     """Parse template text into a :class:`Template`.
 
@@ -384,48 +342,67 @@ def _parse_tokens(text: str, fault: tuple[str, str, int] | None) -> ParseError:
     """
     tokens, positions = _scan(text)
     end = len(tokens) - 1
+    upper, lower = re.compile("[A-Z]+"), re.compile("[a-z]+")
+
+    def unexpected(i: int, what: str, lead: str = "") -> ParseError:
+        # The token at ``i`` is not ``what``; at the end sentinel, the input ended early.
+        if i == end:
+            return ParseError(f"unexpected end of input, expected {what}", *positions[i])
+        return ParseError(f"{lead or f'expected {what}, found'} {tokens[i]!r}", *positions[i])
+
+    def expect(i: int, *words: str) -> int:
+        # The index past ``words``, which must be the tokens from ``i`` on.
+        for i, word in enumerate(words, start=i):
+            if tokens[i] != word:
+                raise unexpected(i, repr(word))
+        return i + 1
+
+    def name(i: int, pattern: re.Pattern, what: str) -> int:
+        # ``i``, whose token ``pattern`` must match whole.
+        if not pattern.fullmatch(tokens[i]):
+            raise unexpected(i, what)
+        return i
+
+    def ref(i: int, pattern: re.Pattern, what: str) -> int:
+        # The index of the name in ``["not"] name`` from ``i``.
+        return name(i + (tokens[i] == "not"), pattern, what)
+
+    def listed(i: int, item, pattern: re.Pattern, what: str) -> tuple[list[int], int]:
+        # Walk ``item ("," item)*`` from ``i``, each ``item`` a ``name`` or a ``ref``: the index
+        # of each item's name, and the index past the list.
+        at = [item(i, pattern, what)]
+        while tokens[at[-1] + 1] == ",":
+            at.append(item(at[-1] + 2, pattern, what))
+        return at, at[-1] + 1
 
     if tokens[0] != "If":
-        raise _unexpected(tokens, positions, 0, "'If'")
+        raise unexpected(0, "'If'")
     i = 0
     cond_at: list[int] = []
     premise_at: list[int] = []
     while tokens[i] == "If":
         if tokens[i + 1] not in _OPERATORS:
-            raise _unexpected(tokens, positions, i + 1, "operator", "unknown operator")
-        i = _expect(tokens, positions, i + 2, ["("])
-        at, i = _var_list(tokens, positions, i, True, "condition variable")
+            raise unexpected(i + 1, "operator", "unknown operator")
+        at, i = listed(expect(i + 2, "("), ref, upper, "condition variable")
         cond_at += at
-        i = _expect(tokens, positions, i, [")", ",", "then"])
-        _var(tokens, positions, i, True, "premise variable")
-        premise_at.append(i)
-        i = _expect(tokens, positions, i + 1, ["."])
+        premise_at.append(name(expect(i, ")", ",", "then"), upper, "premise variable"))
+        i = expect(premise_at[-1] + 1, ".")
 
-    i = _expect(tokens, positions, i, ["Facts", ":"])
-    fact_at, i = _var_list(tokens, positions, i, False, "fact variable")
-    i = _expect(tokens, positions, i, [".", "Question", ":", "Is"])
-    _var(tokens, positions, i, False, "question variable")
-    question_at = i
-    i = _expect(tokens, positions, i + 1, ["correct", "?"])
+    fact_at, i = listed(expect(i, "Facts", ":"), ref, lower, "fact variable")
+    question_at = name(expect(i, ".", "Question", ":", "Is"), lower, "question variable")
+    i = expect(question_at + 1, "correct", "?")
 
     label_at = -1
     if tokens[i] == "Label":
-        label_at = i = _expect(tokens, positions, i + 1, [":"])
+        label_at = i = expect(i + 1, ":")
         if i == end:
-            raise _unexpected(tokens, positions, i, "label")
+            raise unexpected(i, "label")
         i += 1
         if tokens[i] == ",":
             # ", if C1, C2" solver qualifier: accepted, not stored.
-            i = _expect(tokens, positions, i + 1, ["if"])
-            while True:
-                if not _QUALIFIER_RE.fullmatch(tokens[i]):
-                    raise _unexpected(tokens, positions, i, "condition id")
-                i += 1
-                if tokens[i] != ",":
-                    break
-                i += 1
+            i = listed(expect(i + 1, "if"), name, _QUALIFIER_RE, "condition id")[1]
     if i != end:
-        raise _unexpected(tokens, positions, i, "", "unexpected trailing input")
+        raise unexpected(i, "", "unexpected trailing input")
 
     assert fault is not None, "the token walk accepted text the statement match refused"
     message, site, index = fault

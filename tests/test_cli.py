@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -6,6 +7,8 @@ import json
 import logging
 import os
 import random
+import re
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -1366,3 +1369,41 @@ def test_solve_templates_jsonl_bad_record_exits_one(tmp_path, capsys, line, frag
     code, _, err = run(capsys, "solve", "--file", str(path))
     assert code == 1
     assert f"{path}:2: {fragment}" in err
+
+
+# --- README -----------------------------------------------------------------------
+
+def _readme_commands() -> list[list[str]]:
+    """The arguments of each ``condlogic`` command in README's ``sh`` blocks, with ``\\``
+    continuations joined and comments and shell redirections dropped."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    commands = []
+    for block in re.findall(r"^```sh\n(.*?)^```$", readme, re.M | re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = iter(shlex.split(line, comments=True))
+            if next(words, None) != "condlogic":
+                continue
+            argv = []
+            for word in words:
+                if re.fullmatch(r"\d*(<|>>?)", word):
+                    next(words, None)  # a redirection's target
+                elif not re.match(r"\d*(<|>>?)", word):
+                    argv.append(word)
+            commands.append(argv)
+    return commands
+
+
+def test_readme_commands_parse():
+    commands = _readme_commands()
+    assert {argv[0] for argv in commands} == {"generate", "solve", "parse-context", "evaluate"}
+    parser = cli._build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: condlogic {shlex.join(argv)}")
+        # Spelled out in full, not as an abbreviation that argparse would also take.
+        for word in argv:
+            if word.startswith("--"):
+                assert word.partition("=")[0] in subparsers[argv[0]]._option_string_actions, argv

@@ -39,7 +39,7 @@ from condlogic import (
     validate_template,
 )
 from condlogic.dataset_io import example_to_dict, plan_line
-from condlogic.generate import SPLITS, _derive_seed, _draw, _drawer, _draws, _texts, compile_template
+from condlogic.generate import SPLITS, _derive_seed, _draw, _drawer, _texts, compile_template
 from condlogic.jsonl import string_body
 from conftest import REFERENCE_TEMPLATE, example_of, write_bank
 
@@ -591,8 +591,8 @@ def test_plan_lines_are_the_encoded_examples(config, buckets):
     premises = [string_body(record.premise) for record in bank.records]
     hypotheses = [string_body(record.hypothesis) for record in bank.records]
     for split in SPLITS:
-        pairs = itertools.islice(zip(_draws(config, bank, split, plans), generate_dataset(config, bank, split)), 40)
-        for (plan, example_seed, picks), example in pairs:
+        draws = map(_drawer(config, bank, split, plans), range(40))
+        for (plan, example_seed, picks), example in zip(draws, generate_dataset(config, bank, split)):
             assert plan.template_id == example.template_id
             line = lines[plan.template_id](example_seed, _texts(plan, picks, premises, hypotheses))
             assert line == json.dumps(example_to_dict(example), ensure_ascii=False) + "\n"

@@ -157,6 +157,15 @@ _Q = "Question: Is u correct?"
         ("If all (A, B), then U.\nFacts: a, a.\n" + _Q + "\nLabel: entailed, if A, B", 2, 11, "duplicate fact 'a'"),
         ("If all (A), then U.\nFacts: a.\n" + _Q + "\nLabel: entailed, if A, b", 4, 24,
          "expected condition id, found 'b'"),
+        # One list walk serves the conditions, the facts and the qualifier ids; only the
+        # conditions and the facts take "not", and the premise is one variable, not a list.
+        ("If all (A), then U.\nFacts: a.\n" + _Q + "\nLabel: entailed, if not C1", 4, 21,
+         "expected condition id, found 'not'"),
+        ("If all (A), then U.\nFacts: a.\n" + _Q + "\nLabel: entailed, if C1,", 4, 24,
+         "unexpected end of input, expected condition id"),
+        ("If all (A), then not U.", 1, 18, "expected premise variable, found 'not'"),
+        ("If all (A), then U, V.", 1, 19, "expected '.', found ','"),
+        ("If all (not not A), then U.", 1, 13, "expected condition variable, found 'not'"),
     ],
 )
 def test_rule_fault_reported_at_token(text, line, col, message):
