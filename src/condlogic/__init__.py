@@ -6,9 +6,9 @@ into condition groups, and scores predictions with compound answer and
 condition metrics.
 
 ``import condlogic`` loads no submodule: each exported name imports the
-submodule that defines it on first use. Each CLI command likewise loads
-only what it runs, so ``evaluate`` and ``parse-context`` never load the
-dataset generator or ``hashlib``.
+submodule that defines it on first use. The CLI loads only the generator
+stack per command, so ``evaluate`` and ``parse-context`` never load it or
+``hashlib``; every command loads ``contexts`` and ``metrics``.
 """
 
 __version__ = "0.1.0"

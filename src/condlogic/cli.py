@@ -50,7 +50,7 @@ class _Parser(argparse.ArgumentParser):
 
 def cmd_generate(args) -> int:
     # The generator stack is imported here, so the other commands never load it.
-    from .dataset_io import SplitManifest, manifest_path, plan_line, write_split
+    from .dataset_io import SplitManifest, fork_each, manifest_path, plan_line, write_split
     from .generate import GenConfig, _drawer, _texts, compile_template, config_hash, generate_templates, load_nli_bank
     from .templates import render_template_dsl
 
@@ -87,21 +87,29 @@ def cmd_generate(args) -> int:
             write({"template_id": t.template_id, "dsl": render_template_dsl(t)})
     print(f"templates   {len(templates):>6}  {templates_path}")
 
-    histogram: Counter = Counter()
     # Each bank text is escaped once, here, not on every draw of it.
     premises = [string_body(record.premise) for record in bank.records]
     hypotheses = [string_body(record.hypothesis) for record in bank.records]
 
-    def counted(stream):
-        for plan, example_seed, picks in stream:
-            histogram[plan.gold.label] += 1
-            yield lines[plan.template_id](example_seed, _texts(plan, picks, premises, hypotheses))
+    def write(name, stream):
+        labels: Counter = Counter()
 
-    for name, stream in streams.items():
-        manifest = write_split(
-            counted(stream), paths[name], SplitManifest(split=name, count=0, seed=args.seed, config_hash=digest)
-        )
-        print(f"{name:<11} {manifest.count:>6}  {paths[name]}")
+        def counted():
+            for plan, example_seed, picks in stream:
+                labels[plan.gold.label] += 1
+                yield lines[plan.template_id](example_seed, _texts(plan, picks, premises, hypotheses))
+
+        manifest = SplitManifest(split=name, count=0, seed=args.seed, config_hash=digest)
+        return write_split(counted(), paths[name], manifest).count, labels
+
+    # Every split is written before any is reported; the first failed one, in split order, ends the run.
+    histogram: Counter = Counter()
+    for name, outcome in fork_each(write, streams).items():
+        if isinstance(outcome, Exception):
+            raise outcome
+        count, labels = outcome
+        histogram.update(labels)
+        print(f"{name:<11} {count:>6}  {paths[name]}")
     print("answer label histogram:")
     for label, count in sorted(histogram.items()):
         print(f"  {label:<13} {count}")

@@ -12,12 +12,15 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 import re
+import sys
 from dataclasses import asdict, dataclass, replace
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import __version__
 from .contexts import group_to_dict
+from .errors import ToolkitError
 from .generate import Example, TemplatePlan, _example
 from .jsonl import (
     JsonlReader, encode_line, int_field, jsonl_writer, line_skeleton, line_writer,
@@ -181,6 +184,63 @@ def write_split(examples: Iterable[Example | str], path, manifest: SplitManifest
     with jsonl_writer(manifest_path(path)) as write:
         write(final.to_dict())
     return final
+
+
+def fork_each(call: Callable, items: Mapping) -> dict:
+    """``{key: call(key, value)}`` for each item, in order; a call that raises a ``ToolkitError``
+    or an ``OSError`` has that exception as its value.
+
+    Where ``os.fork`` exists, each call after the first runs in a child forked from this
+    process while this process makes the first, and sends back its JSON-encodable value or
+    its error through a pipe. Every child is waited for before this returns or raises; one
+    that ends without a reply has an ``OSError`` naming its key.
+    """
+    items = list(items.items())
+    forked = items[1:] if hasattr(os, "fork") else []
+    outcomes, children, replies = {}, [], []
+    try:
+        for key, value in forked:
+            read_end, write_end = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                # The child leaves through os._exit, so it runs none of the caller's code and
+                # flushes none of the output buffers it inherited.
+                try:
+                    os.write(write_end, _reply(_outcome(call, key, value)))
+                except Exception:
+                    sys.excepthook(*sys.exc_info())
+                finally:
+                    os._exit(0)
+            os.close(write_end)
+            children.append((key, pid, open(read_end, "rb")))
+        for key, value in items[: len(items) - len(forked)]:
+            outcomes[key] = _outcome(call, key, value)
+    finally:
+        for key, pid, pipe in children:
+            with pipe:
+                replies.append((key, pipe.read(), os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])))
+    for key, reply, code in replies:
+        kind, *args = json.loads(reply) if reply else (
+            "OSError", f"{key}: the process writing it ended without a reply (exit code {code})"
+        )
+        outcomes[key] = args[0] if kind == "value" else {"ToolkitError": ToolkitError, "OSError": OSError}[kind](*args)
+    return outcomes
+
+
+def _outcome(call: Callable, key, value):
+    try:
+        return call(key, value)
+    except (ToolkitError, OSError) as exc:
+        return exc
+
+
+def _reply(outcome) -> bytes:
+    if isinstance(outcome, ToolkitError):
+        return json.dumps(["ToolkitError", str(outcome)]).encode()
+    if isinstance(outcome, OSError):
+        args = [outcome.errno, outcome.strerror, outcome.filename] if outcome.errno else [str(outcome)]
+        return json.dumps(["OSError", *args]).encode()
+    return json.dumps(["value", outcome]).encode()
 
 
 def read_manifest(split_path) -> SplitManifest | None:

@@ -4,6 +4,7 @@ import itertools
 import json
 import os
 import random
+import signal
 import subprocess
 from pathlib import Path
 from unittest import mock
@@ -38,7 +39,10 @@ from condlogic import (
     template_groups,
     validate_template,
 )
-from condlogic.dataset_io import example_to_dict, plan_line
+import condlogic.dataset_io as dataset_io_module
+from condlogic import cli
+from condlogic.dataset_io import example_to_dict, fork_each, plan_line
+from condlogic.errors import ToolkitError
 from condlogic.generate import SPLITS, _derive_seed, _draw, _drawer, _texts, compile_template
 from condlogic.jsonl import string_body
 from conftest import REFERENCE_TEMPLATE, example_of, write_bank
@@ -456,6 +460,124 @@ def test_generate_same_bytes_on_every_python(tmp_path, bank_path, minor):
     write_escaping_bank(escaping_bank)
     assert digests(escaping_bank, "--seed=-7", "--templates", "12", "--dev", "200", "--test", "200",
                    "--train", "40") == ESCAPING_DIGESTS
+
+
+@pytest.mark.parametrize("minor", ["3.12", "3.13"])
+def test_generate_forks_without_a_deprecation_warning(tmp_path, bank_path, minor):
+    # From 3.12 CPython warns when a process with more than one thread forks; the CLI must never be one.
+    # CPython drops that warning under -W error::DeprecationWarning, so the run shows every one instead.
+    pythons = sorted(_PYENV_VERSIONS.glob(f"{minor}.*/bin/python"))
+    if not pythons:
+        pytest.skip(f"no Python {minor} under {_PYENV_VERSIONS}")
+    src = Path(__file__).resolve().parent.parent / "src"
+    argv = [str(pythons[-1]), "-W", "always::DeprecationWarning", "-m", "condlogic.cli", "generate",
+            "--bank", str(bank_path), "--out", str(tmp_path / "data"), "--seed", "7",
+            "--templates", "10", "--dev", "30", "--test", "30", "--train", "20"]
+    result = subprocess.run(argv, env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+                            timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert "DeprecationWarning" not in result.stderr
+
+
+# What the run of test_generate_golden_digests prints, with its --out shown as OUT.
+GOLDEN_STDOUT = """\
+templates       10  OUT/templates.jsonl
+dev            300  OUT/dev.jsonl
+test           300  OUT/test.jsonl
+train           50  OUT/train.jsonl
+answer label histogram:
+  contradicted  136
+  entailed      179
+  irrelevant    278
+  neutral       57
+"""
+
+
+def _golden_run(out_dir, bank_path, capsys):
+    """Exit code, stdout and stderr of test_generate_golden_digests's run into ``out_dir``, shown as OUT."""
+    code = cli.main(["generate", "--bank", str(bank_path), "--out", str(out_dir), "--seed", "7",
+                     "--templates", "10", "--dev", "300", "--test", "300", "--train", "50"])
+    captured = capsys.readouterr()
+    return code, captured.out.replace(str(out_dir), "OUT"), captured.err.replace(str(out_dir), "OUT")
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pid of every child ``os.fork`` makes while the test runs."""
+    pids = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
+
+
+def _assert_reaped(pids, count):
+    """``count`` children were forked, and none is left running or unwaited for."""
+    assert len(pids) == count
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def test_generate_prints_the_golden_stdout_with_or_without_fork(tmp_path, bank_path, capsys, forks, monkeypatch):
+    assert _golden_run(tmp_path / "forked", bank_path, capsys) == (0, GOLDEN_STDOUT, "")
+    _assert_reaped(forks, 2)
+    monkeypatch.delattr(os, "fork")
+    assert _golden_run(tmp_path / "in-process", bank_path, capsys) == (0, GOLDEN_STDOUT, "")
+    digests = {name: hashlib.sha256((tmp_path / "in-process" / name).read_bytes()).hexdigest() for name in GOLDEN_DIGESTS}
+    assert digests == GOLDEN_DIGESTS
+
+
+@pytest.mark.parametrize("blocked", ["test.jsonl", "dev.jsonl"], ids=["child-split-fails", "parent-split-fails"])
+def test_generate_reports_a_failed_split_as_the_in_process_run_does(tmp_path, bank_path, capsys, forks, monkeypatch,
+                                                                    blocked):
+    (tmp_path / "forked" / blocked).mkdir(parents=True)
+    forked = _golden_run(tmp_path / "forked", bank_path, capsys)
+    _assert_reaped(forks, 2)
+    monkeypatch.delattr(os, "fork")
+    (tmp_path / "in-process" / blocked).mkdir(parents=True)
+    assert forked == _golden_run(tmp_path / "in-process", bank_path, capsys)
+    assert forked[0] == 2 and forked[2].startswith("error: ") and forked[2].endswith(f"'OUT/{blocked}'\n")
+
+
+def test_generate_names_a_split_whose_writer_died(tmp_path, bank_path, capsys, forks, monkeypatch):
+    write_split, parent = dataset_io_module.write_split, os.getpid()
+
+    def dying_write_split(examples, path, manifest):
+        if manifest.split == "test" and os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return write_split(examples, path, manifest)
+
+    monkeypatch.setattr(dataset_io_module, "write_split", dying_write_split)
+    code, out, err = _golden_run(tmp_path / "data", bank_path, capsys)
+    _assert_reaped(forks, 2)
+    assert code == 2
+    assert out == GOLDEN_STDOUT.split("test ")[0]
+    assert err == "error: test: the process writing it ended without a reply (exit code -9)\n"
+
+
+def _raising(key, value):
+    if isinstance(value, Exception):
+        raise value
+    return value
+
+
+def test_fork_each_gives_the_in_process_outcomes(monkeypatch, forks):
+    items = {"first": [1, {"a": 2}], "toolkit": ToolkitError("no 'x' records"), "value": {"b": [3]},
+             "io": IsADirectoryError(21, "Is a directory", "out/test.jsonl"), "bare-io": OSError("closed")}
+    forked = fork_each(_raising, items)
+    _assert_reaped(forks, 4)
+    monkeypatch.delattr(os, "fork")
+    in_process = fork_each(_raising, items)
+    assert list(forked) == list(in_process) == list(items)
+    shown = {key: (type(v), str(v)) if isinstance(v, Exception) else v for key, v in forked.items()}
+    assert shown == {key: (type(v), str(v)) if isinstance(v, Exception) else v for key, v in in_process.items()}
 
 
 def test_dataset_matches_bare_instantiate(bank):
