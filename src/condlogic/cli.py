@@ -99,17 +99,16 @@ def cmd_generate(args) -> int:
                 labels[plan.gold.label] += 1
                 yield lines[plan.template_id](example_seed, _texts(plan, picks, premises, hypotheses))
 
-        manifest = SplitManifest(split=name, count=0, seed=args.seed, config_hash=digest)
-        return write_split(counted(), paths[name], manifest).count, labels
+        write_split(counted(), paths[name], SplitManifest(split=name, count=0, seed=args.seed, config_hash=digest))
+        return labels
 
     # Every split is written before any is reported; the first failed one, in split order, ends the run.
     histogram: Counter = Counter()
-    for name, outcome in fork_each(write, streams).items():
-        if isinstance(outcome, Exception):
-            raise outcome
-        count, labels = outcome
+    for name, labels in fork_each(write, streams).items():
+        if isinstance(labels, Exception):
+            raise labels
         histogram.update(labels)
-        print(f"{name:<11} {count:>6}  {paths[name]}")
+        print(f"{name:<11} {labels.total():>6}  {paths[name]}")
     print("answer label histogram:")
     for label, count in sorted(histogram.items()):
         print(f"  {label:<13} {count}")

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import logging
 import os
+import pickle
 import re
 import sys
 from dataclasses import asdict, dataclass, replace
@@ -191,9 +192,9 @@ def fork_each(call: Callable, items: Mapping) -> dict:
     or an ``OSError`` has that exception as its value.
 
     Where ``os.fork`` exists, each call after the first runs in a child forked from this
-    process while this process makes the first, and sends back its JSON-encodable value or
-    its error through a pipe. Every child is waited for before this returns or raises; one
-    that ends without a reply has an ``OSError`` naming its key.
+    process while this process makes the first, and sends back its outcome, pickled, through
+    a pipe, so it comes back as the call made it. Every child is waited for before this returns
+    or raises; one that ends without a reply has an ``OSError`` naming its key.
     """
     items = list(items.items())
     forked = items[1:] if hasattr(os, "fork") else []
@@ -206,7 +207,7 @@ def fork_each(call: Callable, items: Mapping) -> dict:
                 # The child leaves through os._exit, so it runs none of the caller's code and
                 # flushes none of the output buffers it inherited.
                 try:
-                    os.write(write_end, _reply(_outcome(call, key, value)))
+                    os.write(write_end, pickle.dumps(_outcome(call, key, value)))
                 except Exception:
                     sys.excepthook(*sys.exc_info())
                 finally:
@@ -220,10 +221,10 @@ def fork_each(call: Callable, items: Mapping) -> dict:
             with pipe:
                 replies.append((key, pipe.read(), os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])))
     for key, reply, code in replies:
-        kind, *args = json.loads(reply) if reply else (
-            "OSError", f"{key}: the process writing it ended without a reply (exit code {code})"
+        # The bytes come from this process's own child, over a pipe no other process holds.
+        outcomes[key] = pickle.loads(reply) if reply else OSError(
+            f"{key}: the process writing it ended without a reply (exit code {code})"
         )
-        outcomes[key] = args[0] if kind == "value" else {"ToolkitError": ToolkitError, "OSError": OSError}[kind](*args)
     return outcomes
 
 
@@ -232,15 +233,6 @@ def _outcome(call: Callable, key, value):
         return call(key, value)
     except (ToolkitError, OSError) as exc:
         return exc
-
-
-def _reply(outcome) -> bytes:
-    if isinstance(outcome, ToolkitError):
-        return json.dumps(["ToolkitError", str(outcome)]).encode()
-    if isinstance(outcome, OSError):
-        args = [outcome.errno, outcome.strerror, outcome.filename] if outcome.errno else [str(outcome)]
-        return json.dumps(["OSError", *args]).encode()
-    return json.dumps(["value", outcome]).encode()
 
 
 def read_manifest(split_path) -> SplitManifest | None:

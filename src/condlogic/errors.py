@@ -13,9 +13,13 @@ class ParseError(ToolkitError):
     """Template text could not be parsed; carries the source location."""
 
     def __init__(self, message: str, line: int, col: int):
-        super().__init__(f"line {line}, column {col}: {message}")
+        # All three arguments stay in ``args``, so pickle and copy rebuild the error.
+        super().__init__(message, line, col)
         self.line = line
         self.col = col
+
+    def __str__(self) -> str:
+        return "line {1}, column {2}: {0}".format(*self.args)
 
 
 class BankError(ToolkitError):

@@ -35,7 +35,6 @@ from .templates import (
     TemplateGroup,
     VarRef,
     condition_ids,
-    render_template_dsl,
     template_groups,
     validate_template,
 )
@@ -257,19 +256,18 @@ def _random_template(config: GenConfig, rng: random.Random) -> Template:
 def generate_templates(config: GenConfig) -> tuple[Template, ...]:
     """Generate ``config.n_templates`` pairwise-distinct templates.
 
-    Distinctness is structural: two templates collide when their
-    canonical textual forms match. Deterministic in the master seed.
+    Distinctness is structural: two candidates collide when they are
+    equal, which ignores ``template_id``. Deterministic in the master seed.
     Raises :class:`GenerationError` when ``max_retries`` consecutive
     candidates all collide (the template space is too small).
     """
     rng = random.Random(_derive_seed(config.seed, "templates"))
-    seen: set[str] = set()
+    seen: set[Template] = set()
     out: list[Template] = []
     rejected = 0
     while len(out) < config.n_templates:
         candidate = _random_template(config, rng)
-        key = render_template_dsl(candidate)
-        if key in seen:
+        if candidate in seen:
             rejected += 1
             if rejected > config.max_retries:
                 raise GenerationError(
@@ -278,7 +276,7 @@ def generate_templates(config: GenConfig) -> tuple[Template, ...]:
                 )
             continue
         rejected = 0
-        seen.add(key)
+        seen.add(candidate)
         out.append(replace(candidate, template_id=f"T{len(out):03d}"))
     return tuple(out)
 

@@ -232,7 +232,8 @@ def _solve_valid(t: Template) -> Verdict:
 # --- textual form ---------------------------------------------------------
 
 _TOKEN = r"[A-Za-z]+[0-9]*|[(),.:?]"
-_TOKEN_RE = re.compile(_TOKEN)
+#: A token, or (without group 1) a stray character; ``\S`` is ``not str.isspace``.
+_SCAN_RE = re.compile(rf"({_TOKEN})|\S")
 _QUALIFIER = r"(?:[A-Z]+|C[0-9]+)"
 _QUALIFIER_RE = re.compile(_QUALIFIER)
 _OPERATORS = {"all": LogicalType.ALL, "any": LogicalType.ANY}
@@ -279,18 +280,12 @@ def _scan(text: str) -> tuple[list[str], list[tuple[int, int]]]:
     positions: list[tuple[int, int]] = []
     end_at = (1, 1)
     for line_no, line in enumerate(text.splitlines(), start=1):
-        pos = 0
-        while pos < len(line):
-            if line[pos].isspace():
-                pos += 1
-                continue
-            m = _TOKEN_RE.match(line, pos)
-            if not m:
-                raise ParseError(f"unexpected character {line[pos]!r}", line_no, pos + 1)
+        for m in _SCAN_RE.finditer(line):
+            if not m.group(1):
+                raise ParseError(f"unexpected character {m.group()!r}", line_no, m.start() + 1)
             tokens.append(m.group())
-            positions.append((line_no, pos + 1))
-            pos = m.end()
-            end_at = (line_no, pos + 1)
+            positions.append((line_no, m.start() + 1))
+            end_at = (line_no, m.end() + 1)
     tokens.append("")
     positions.append(end_at)
     return tokens, positions

@@ -6,6 +6,8 @@ import os
 import random
 import signal
 import subprocess
+import time
+from collections import Counter
 from pathlib import Path
 from unittest import mock
 
@@ -42,7 +44,7 @@ from condlogic import (
 import condlogic.dataset_io as dataset_io_module
 from condlogic import cli
 from condlogic.dataset_io import example_to_dict, fork_each, plan_line
-from condlogic.errors import ToolkitError
+from condlogic.errors import ParseError, ToolkitError
 from condlogic.generate import SPLITS, _derive_seed, _draw, _drawer, _texts, compile_template
 from condlogic.jsonl import string_body
 from conftest import REFERENCE_TEMPLATE, example_of, write_bank
@@ -189,6 +191,41 @@ def test_templates_exhausted_space():
     )
     with pytest.raises(GenerationError):
         generate_templates(config)
+
+
+def _text_keyed_templates(config):
+    """The reference for generate_templates: the same candidates, deduplicated by their rendered text."""
+    rng = random.Random(_derive_seed(config.seed, "templates"))
+    seen, out, rejected = set(), [], 0
+    while len(out) < config.n_templates:
+        candidate = generate_module._random_template(config, rng)
+        text = render_template_dsl(candidate)
+        if text in seen:
+            rejected += 1
+            if rejected > config.max_retries:
+                raise GenerationError(f"no new template after {config.max_retries} consecutive duplicates; "
+                                      f"got {len(out)} of {config.n_templates}")
+            continue
+        rejected = 0
+        seen.add(text)
+        out.append(dataclasses.replace(candidate, template_id=f"T{len(out):03d}"))
+    return tuple(out)
+
+
+# Template counts below and above the space's size: 32 templates for max_conditions 1, about 1.2k
+# for 2 and about 12k for 3. A count above it ends in the GenerationError after 300 duplicates in a row.
+@pytest.mark.parametrize("max_conditions, counts", [(1, (8, 32, 40)), (2, (300, 1500)), (3, (2000,))])
+def test_templates_dedupe_as_by_rendered_text(max_conditions, counts):
+    def outcome(make, config):
+        try:
+            return [(t, t.template_id) for t in make(config)]
+        except GenerationError as exc:
+            return str(exc)
+
+    for seed, n_templates in itertools.product(range(3), counts):
+        config = GenConfig(seed=seed, max_conditions=max_conditions, n_templates=n_templates,
+                           distractor_range=(0, 1), max_retries=300)
+        assert outcome(generate_templates.__wrapped__, config) == outcome(_text_keyed_templates, config)
 
 
 def test_templates_cover_operators_and_targets():
@@ -570,14 +607,49 @@ def _raising(key, value):
 
 def test_fork_each_gives_the_in_process_outcomes(monkeypatch, forks):
     items = {"first": [1, {"a": 2}], "toolkit": ToolkitError("no 'x' records"), "value": {"b": [3]},
-             "io": IsADirectoryError(21, "Is a directory", "out/test.jsonl"), "bare-io": OSError("closed")}
+             "io": IsADirectoryError(21, "Is a directory", "out/test.jsonl"), "bare-io": OSError("closed"),
+             "invariant": InvariantError("split sizes cannot be negative"),
+             "parse": ParseError("unexpected character '#'", 3, 5), "tuple": (1, Counter(a=2)), "counter": Counter(b=3)}
     forked = fork_each(_raising, items)
-    _assert_reaped(forks, 4)
+    _assert_reaped(forks, 8)
     monkeypatch.delattr(os, "fork")
     in_process = fork_each(_raising, items)
     assert list(forked) == list(in_process) == list(items)
-    shown = {key: (type(v), str(v)) if isinstance(v, Exception) else v for key, v in forked.items()}
-    assert shown == {key: (type(v), str(v)) if isinstance(v, Exception) else v for key, v in in_process.items()}
+
+    def shown(outcome):
+        # Exact types, nested ones too (a Counter equals a dict, but its repr does not).
+        if isinstance(outcome, Exception):
+            return type(outcome), str(outcome), getattr(outcome, "line", None), getattr(outcome, "col", None)
+        return type(outcome), repr(outcome)
+
+    assert {key: shown(v) for key, v in forked.items()} == {key: shown(v) for key, v in in_process.items()}
+
+
+def test_fork_each_names_a_key_whose_outcome_cannot_be_pickled(capfd, forks):
+    outcomes = fork_each(_raising, {"first": 1, "lambda": (lambda: 0,)})
+    _assert_reaped(forks, 1)
+    assert outcomes["first"] == 1
+    assert type(outcomes["lambda"]) is OSError
+    assert str(outcomes["lambda"]) == "lambda: the process writing it ended without a reply (exit code 0)"
+    # The child printed why through sys.excepthook before it left.
+    err = capfd.readouterr().err
+    assert err.startswith("Traceback (most recent call last):") and "pickle" in err
+
+
+def test_fork_each_raises_an_interrupt_only_after_every_child_is_reaped(tmp_path, forks):
+    def call(key, path):
+        if key == "first":
+            raise KeyboardInterrupt
+        time.sleep(0.2)
+        path.write_text(key)
+        return key
+
+    paths = {key: tmp_path / key for key in ("first", "second", "third")}
+    with pytest.raises(KeyboardInterrupt):
+        fork_each(call, paths)
+    _assert_reaped(forks, 2)
+    # Each child finished its call: the interrupt waited for it.
+    assert [path.read_text() for path in list(paths.values())[1:]] == ["second", "third"]
 
 
 def test_dataset_matches_bare_instantiate(bank):

@@ -1,6 +1,9 @@
+import copy
 import dataclasses
+import pickle
 import random
 import re
+import sys
 from unittest import mock
 
 import pytest
@@ -28,6 +31,7 @@ from condlogic import (
     template_groups,
     validate_template,
 )
+from condlogic import errors as errors_module
 from condlogic import templates as templates_module
 from condlogic.generate import _CONSEQUENT_ALPHABET, _bijective_name, _random_template
 from condlogic.templates import TARGET_RELATIONS, _first_fault, _solve_valid
@@ -180,6 +184,18 @@ def test_parse_error_location():
         parse_template_dsl("If both (A), then U.\nFacts: a.\nQuestion: Is u correct?")
     assert excinfo.value.line == 1
     assert excinfo.value.col == 4
+
+
+def test_errors_survive_pickle_and_copy():
+    classes = [c for c in vars(errors_module).values() if isinstance(c, type) and c.__module__ == "condlogic.errors"]
+    assert ParseError in classes
+    for cls in classes:
+        error = cls("unexpected character '#'", 3, 5) if cls is ParseError else cls("no 'x' records")
+        for rebuilt in (copy.copy(error), pickle.loads(pickle.dumps(error))):
+            assert type(rebuilt) is cls and str(rebuilt) == str(error)
+            if cls is ParseError:
+                assert (rebuilt.line, rebuilt.col) == (3, 5)
+                assert str(rebuilt) == "line 3, column 5: unexpected character '#'"
 
 
 def test_question_label_consistency():
@@ -657,6 +673,15 @@ def _old_parse_template_dsl(text):
         tok = sites[site][index]
         raise ParseError(message, tok.line, tok.col)
     return template
+
+
+def test_scan_skips_exactly_the_str_isspace_characters():
+    blanks = [chr(code) for code in range(sys.maxunicode + 1) if chr(code).isspace()]
+    for blank in blanks:
+        assert templates_module._scan(f"If{blank}all")[0] == ["If", "all", ""]
+    for stray in ("\x00", "-", "\u00e9", "\u200b"):
+        with pytest.raises(ParseError, match=re.escape(f"line 1, column 3: unexpected character {stray!r}")):
+            templates_module._scan(f"If{stray}all")
 
 
 def _outcome(parse, text):
